@@ -67,13 +67,20 @@ class ComparisonResult:
     sweep_a: SweepResult
     sweep_b: SweepResult
     crossings: tuple[Crossing, ...]
-    delta_start: float  # p_a - p_b at the first grid point
-    delta_end: float    # and at the last
 
     @property
     def deltas(self):
+        """p_a - p_b at each grid point."""
         return [pa - pb for (_, pa), (_, pb) in
                 zip(self.sweep_a.points, self.sweep_b.points)]
+
+    @property
+    def delta_start(self):
+        return self.deltas[0]
+
+    @property
+    def delta_end(self):
+        return self.deltas[-1]
 
 
 def evaluate(net: BayesianNetwork, target: str,
@@ -121,7 +128,10 @@ def sweep(net: BayesianNetwork, spec: SweepSpec,
           network_name: str = "") -> SweepResult:
     """Evaluate the query marginal along the grid; the input network is
     never mutated."""
-    rows = _resolve_rows(net, spec)
+    return _sweep_rows(net, _resolve_rows(net, spec), spec, network_name)
+
+
+def _sweep_rows(net, rows, spec, network_name):
     points = []
     for t in spec.grid:
         working = _with_rows(net, rows, t)
@@ -166,15 +176,13 @@ def compare(net_a: BayesianNetwork, net_b: BayesianNetwork, spec: SweepSpec,
             name_a: str = "A", name_b: str = "B") -> ComparisonResult:
     """Sweep both networks on the same grid and locate where one overtakes
     the other."""
+    rows = []
     for net, name in ((net_a, name_a), (net_b, name_b)):
         try:
-            _resolve_rows(net, spec)
+            rows.append(_resolve_rows(net, spec))
         except UsageError as exc:
             raise UsageError(f"network {name!r}: {exc}") from exc
-    sweep_a = sweep(net_a, spec, name_a)
-    sweep_b = sweep(net_b, spec, name_b)
+    sweep_a = _sweep_rows(net_a, rows[0], spec, name_a)
+    sweep_b = _sweep_rows(net_b, rows[1], spec, name_b)
     crossings = find_crossings(sweep_a.points, sweep_b.points)
-    deltas = [pa - pb for (_, pa), (_, pb) in
-              zip(sweep_a.points, sweep_b.points)]
-    return ComparisonResult(sweep_a, sweep_b, tuple(crossings),
-                            deltas[0], deltas[-1])
+    return ComparisonResult(sweep_a, sweep_b, tuple(crossings))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bn import (BayesianNetwork, Cpt, Finding, ValidationReport, Variable,
-                 _find_cycle, validate_network)
+                 _find_cycle, check_cpts)
 from .errors import InvalidArchitectureError, UsageError
 
 COMPONENT_KINDS = ("ml", "classical", "sensor", "voter")
@@ -127,47 +127,8 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
     if cycle is not None:
         return report  # parent lists are ill-defined on a cyclic graph
 
-    for a in arch.annotations:
-        _check_cpt(arch, report, a.id, ())
-    for c in arch.components:
-        if _is_input_sensor(arch, c):
-            continue
-        if c.kind == "sensor":
-            _check_cpt(arch, report, c.id, ())  # monitors are roots
-        else:
-            _check_cpt(arch, report, c.id, expected_parents(arch, c.id))
-
-    known = comp_ids | {a.id for a in arch.annotations}
-    for extra in sorted(set(arch.cpts) - known):
-        report.findings.append(
-            Finding("unknown CPT", extra, "CPT for an unknown variable"))
+    report.findings.extend(check_cpts(_network_variables(arch), arch.cpts))
     return report
-
-
-def _check_cpt(arch, report, var_id, parents):
-    cpt = arch.cpts.get(var_id)
-    if cpt is None:
-        expected = Cpt(var_id, tuple(parents), {}).expected_keys()
-        report.findings.append(
-            Finding("missing CPT", var_id, f"expected rows {expected}"))
-        return
-    if tuple(cpt.parents) != tuple(parents):
-        report.findings.append(
-            Finding("CPT parent mismatch", var_id,
-                    f"expected parents {list(parents)}, got {list(cpt.parents)}"))
-        return
-    expected = set(cpt.expected_keys())
-    present = set(cpt.rows)
-    for key in sorted(expected - present):
-        report.findings.append(Finding("missing CPT row", var_id, f"row {key!r}"))
-    for key in sorted(present - expected):
-        report.findings.append(Finding("extra CPT row", var_id, f"row {key!r}"))
-    for key in sorted(present & expected):
-        p = cpt.rows[key]
-        if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-            report.findings.append(
-                Finding("probability out of range", var_id,
-                        f"row {key!r} has p_high {p!r}"))
 
 
 def _variable_kind(component):
@@ -178,34 +139,32 @@ def _variable_kind(component):
     return "component"
 
 
-def to_network(arch: AnnotatedArchitecture) -> BayesianNetwork:
-    """Compile an architecture into a Bayesian network.
-
-    One variable per annotation (roots) and per non-input component;
-    deterministic: variable order is annotations then components, both in
-    declaration order.
-    """
-    report = validate_architecture(arch)
-    if not report.ok:
-        raise InvalidArchitectureError(report.findings)
-
-    variables = []
-    cpts = {}
-    for a in arch.annotations:
-        variables.append(Variable(a.id, a.kind, ()))
-        cpts[a.id] = arch.cpts[a.id]
+def _network_variables(arch):
+    """The compiled network's variables: one per annotation (roots), then
+    one per non-input component, both in declaration order."""
+    variables = [Variable(a.id, a.kind, ()) for a in arch.annotations]
     for c in arch.components:
         if _is_input_sensor(arch, c):
             continue
         parents = () if c.kind == "sensor" else expected_parents(arch, c.id)
         variables.append(Variable(c.id, _variable_kind(c), parents))
-        cpts[c.id] = arch.cpts[c.id]
+    return variables
 
-    net = BayesianNetwork(tuple(variables), cpts)
-    check = validate_network(net)
-    if not check.ok:  # should be unreachable given architecture validation
-        raise InvalidArchitectureError(check.findings)
-    return net
+
+def to_network(arch: AnnotatedArchitecture) -> BayesianNetwork:
+    """Compile an architecture into a Bayesian network.
+
+    One variable per annotation (roots) and per non-input component;
+    deterministic: variable order is annotations then components, both in
+    declaration order. Architecture validation covers every check
+    ``validate_network`` makes, so the network is not validated again.
+    """
+    report = validate_architecture(arch)
+    if not report.ok:
+        raise InvalidArchitectureError(report.findings)
+    variables = _network_variables(arch)
+    return BayesianNetwork(tuple(variables),
+                           {v.id: arch.cpts[v.id] for v in variables})
 
 
 def change_impact(arch: AnnotatedArchitecture, component: str) -> list[str]:

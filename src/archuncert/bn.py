@@ -1,8 +1,9 @@
 """Discrete Bayesian networks: representation, validation, exact inference.
 
-Variables in this toolkit are binary (low/high uncertainty), but the factor
-algebra below is written over arbitrary finite state spaces so the binary
-case is just the default.
+Every variable is binary (low/high uncertainty): a CPT stores only
+P(H | parents). Factor tables are therefore flat tuples of 2^k numbers
+indexed by a bitmask over the scope (Darwiche, *Modeling and Reasoning with
+Bayesian Networks*, 2009, ch. 6).
 
 Two inference routes are provided on purpose: ``marginal_brute_force``
 enumerates the full joint and serves as the oracle, ``marginal_ve`` is the
@@ -35,7 +36,6 @@ class Variable:
     id: str
     kind: str
     parents: tuple[str, ...] = ()
-    states: tuple[str, ...] = BINARY_STATES
 
 
 @dataclass(frozen=True)
@@ -105,34 +105,69 @@ class ValidationReport:
 
 
 def _find_cycle(ids, parents_of):
-    """Return one cycle as a vertex sequence [a, ..., a], or None."""
+    """Return one cycle as a vertex sequence [a, ..., a], or None.
+
+    Depth-first search with an explicit stack, so graph depth is not bounded
+    by the interpreter's recursion limit."""
     WHITE, GREY, BLACK = 0, 1, 2
     color = {i: WHITE for i in ids}
-    stack = []
-
-    def visit(node):
-        color[node] = GREY
-        stack.append(node)
-        for parent in parents_of(node):
-            if parent not in color:
-                continue
-            if color[parent] == GREY:
-                start = stack.index(parent)
-                return stack[start:] + [parent]
-            if color[parent] == WHITE:
-                cycle = visit(parent)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in ids:
-        if color[node] == WHITE:
-            cycle = visit(node)
-            if cycle is not None:
-                return cycle
+    for root in ids:
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        # per node on the path, its parents not yet examined
+        pending = [iter(parents_of(root))]
+        while pending:
+            for parent in pending[-1]:
+                if color.get(parent) == GREY:
+                    return path[path.index(parent):] + [parent]
+                if color.get(parent) == WHITE:
+                    color[parent] = GREY
+                    path.append(parent)
+                    pending.append(iter(parents_of(parent)))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
+
+
+def check_cpts(variables, cpts) -> list[Finding]:
+    """The CPT findings for ``variables``: each needs a CPT keyed by its
+    parents, with one in-range p_high per parent assignment; a CPT for any
+    other id is unknown."""
+    findings = []
+    for v in variables:
+        cpt = cpts.get(v.id)
+        if cpt is None:
+            expected = Cpt(v.id, v.parents, {}).expected_keys()
+            findings.append(
+                Finding("missing CPT", v.id, f"expected rows {expected}"))
+            continue
+        if tuple(cpt.parents) != tuple(v.parents):
+            findings.append(
+                Finding("CPT parent mismatch", v.id,
+                        f"expected parents {list(v.parents)}, "
+                        f"got {list(cpt.parents)}"))
+            continue
+        expected = set(cpt.expected_keys())
+        present = set(cpt.rows)
+        for key in sorted(expected - present):
+            findings.append(Finding("missing CPT row", v.id, f"row {key!r}"))
+        for key in sorted(present - expected):
+            findings.append(Finding("extra CPT row", v.id, f"row {key!r}"))
+        for key in sorted(present & expected):
+            p = cpt.rows[key]
+            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+                findings.append(
+                    Finding("probability out of range", v.id,
+                            f"row {key!r} has p_high {p!r}"))
+    known = {v.id for v in variables}
+    for extra in sorted(set(cpts) - known):
+        findings.append(
+            Finding("unknown CPT", extra, "CPT for an unknown variable"))
+    return findings
 
 
 def validate_network(net: BayesianNetwork) -> ValidationReport:
@@ -161,33 +196,7 @@ def validate_network(net: BayesianNetwork) -> ValidationReport:
     if cycle is not None:
         report.findings.append(Finding("cycle", cycle[0], path=tuple(cycle)))
 
-    for v in net.variables:
-        cpt = net.cpts.get(v.id)
-        if cpt is None:
-            report.findings.append(Finding("missing CPT", v.id))
-            continue
-        if tuple(cpt.parents) != tuple(v.parents):
-            report.findings.append(
-                Finding("CPT parent mismatch", v.id,
-                        f"declared {list(v.parents)}, CPT has {list(cpt.parents)}"))
-            continue
-        expected = set(cpt.expected_keys())
-        present = set(cpt.rows)
-        for key in sorted(expected - present):
-            report.findings.append(
-                Finding("missing CPT row", v.id, f"row {key!r}"))
-        for key in sorted(present - expected):
-            report.findings.append(
-                Finding("extra CPT row", v.id, f"row {key!r}"))
-        for key in sorted(present & expected):
-            p = cpt.rows[key]
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                report.findings.append(
-                    Finding("probability out of range", v.id,
-                            f"row {key!r} has p_high {p!r}"))
-    for extra in sorted(set(net.cpts) - ids):
-        report.findings.append(
-            Finding("unknown CPT", extra, "CPT for a variable not in the network"))
+    report.findings.extend(check_cpts(net.variables, net.cpts))
     return report
 
 
@@ -241,11 +250,8 @@ def marginal_brute_force(net: BayesianNetwork, target: str,
     evidence = dict(evidence or {})
     _check_query(net, target, evidence)
     ids = [v.id for v in net.variables]
-    var_states = [net.variable_map()[i].states for i in ids]
-    target_states = net.variable_map()[target].states
-
-    totals = {s: 0.0 for s in target_states}
-    for combo in itertools.product(*var_states):
+    totals = {s: 0.0 for s in BINARY_STATES}
+    for combo in itertools.product(BINARY_STATES, repeat=len(ids)):
         assignment = dict(zip(ids, combo))
         if any(assignment[v] != s for v, s in evidence.items()):
             continue
@@ -257,7 +263,7 @@ def marginal_brute_force(net: BayesianNetwork, target: str,
     normalizer = sum(totals.values())
     if normalizer <= 0.0:
         raise ImpossibleEvidenceError(evidence)
-    return {s: totals[s] / normalizer for s in target_states}
+    return {s: totals[s] / normalizer for s in BINARY_STATES}
 
 
 # ---------------------------------------------------------------------------
@@ -266,94 +272,88 @@ def marginal_brute_force(net: BayesianNetwork, target: str,
 
 @dataclass(frozen=True)
 class Factor:
-    """A nonnegative table over an ordered variable scope."""
+    """A nonnegative table over an ordered scope of binary variables.
+
+    ``table[m]`` is the value at the assignment whose bits, first scope
+    variable most significant, are ``m`` (bit set = H); the entries run in
+    the order of ``itertools.product(BINARY_STATES, repeat=len(scope))``.
+    """
 
     scope: tuple[str, ...]
-    states: tuple[tuple[str, ...], ...]  # parallel to scope
-    table: dict[tuple[str, ...], float]
+    table: tuple[float, ...]  # 2 ** len(scope) entries
 
-    def state_space(self, var):
-        return self.states[self.scope.index(var)]
+
+def _bit(scope, var):
+    return 1 << (len(scope) - 1 - scope.index(var))
+
+
+def _index_map(scope, other):
+    """For each mask over ``scope``, in order, the index into a table over
+    ``other`` that agrees with it: variables of ``other`` missing from
+    ``scope`` are L, variables of ``scope`` missing from ``other`` are
+    ignored."""
+    index = [0]
+    for var in scope:
+        bit = _bit(other, var) if var in other else 0
+        index = [i + b for i in index for b in (0, bit)]
+    return index
 
 
 def unit_factor() -> Factor:
-    return Factor(scope=(), states=(), table={(): 1.0})
+    return Factor(scope=(), table=(1.0,))
 
 
 def factor_from_cpt(net: BayesianNetwork, var_id: str) -> Factor:
-    v = net.variable_map()[var_id]
     cpt = net.cpts[var_id]
-    scope = tuple(cpt.parents) + (var_id,)
-    states = tuple(net.variable_map()[s].states for s in cpt.parents) + (v.states,)
-    table = {}
-    for combo in itertools.product(*states):
-        parent_states, state = combo[:-1], combo[-1]
-        table[combo] = _cpt_entry(cpt, state, parent_states)
-    return Factor(scope, states, table)
+    table = []
+    for key in cpt.expected_keys():  # parent assignments in mask order
+        p_high = cpt.rows[key]
+        table += (1.0 - p_high, p_high)
+    return Factor(tuple(cpt.parents) + (var_id,), tuple(table))
 
 
 def factor_product(f1: Factor, f2: Factor) -> Factor:
     """Pointwise product over the ordered union of the two scopes."""
-    for var in f1.scope:
-        if var in f2.scope and f1.state_space(var) != f2.state_space(var):
-            raise UsageError(
-                f"factor product: variable {var!r} has mismatched state spaces")
     scope = f1.scope + tuple(v for v in f2.scope if v not in f1.scope)
-    states = tuple(
-        f1.state_space(v) if v in f1.scope else f2.state_space(v) for v in scope)
-    idx1 = [scope.index(v) for v in f1.scope]
-    idx2 = [scope.index(v) for v in f2.scope]
-    table = {}
-    for combo in itertools.product(*states):
-        k1 = tuple(combo[i] for i in idx1)
-        k2 = tuple(combo[i] for i in idx2)
-        table[combo] = f1.table[k1] * f2.table[k2]
-    return Factor(scope, states, table)
+    t1, t2 = f1.table, f2.table
+    return Factor(scope, tuple(
+        t1[i] * t2[j] for i, j in zip(_index_map(scope, f1.scope),
+                                      _index_map(scope, f2.scope))))
 
 
 def sum_out(f: Factor, var: str) -> Factor:
-    """Marginalize one variable out of a factor."""
+    """Marginalize one variable out of a factor (L term plus H term)."""
     if var not in f.scope:
         raise UsageError(f"sum_out: {var!r} not in factor scope {list(f.scope)}")
-    pos = f.scope.index(var)
-    scope = f.scope[:pos] + f.scope[pos + 1:]
-    states = f.states[:pos] + f.states[pos + 1:]
-    table = {}
-    for combo, value in f.table.items():
-        reduced = combo[:pos] + combo[pos + 1:]
-        table[reduced] = table.get(reduced, 0.0) + value
-    # rebuild in canonical enumeration order so output is deterministic
-    ordered = {c: table[c] for c in itertools.product(*states)}
-    return Factor(scope, states, ordered)
+    bit = _bit(f.scope, var)
+    scope = tuple(v for v in f.scope if v != var)
+    return Factor(scope, tuple(f.table[i] + f.table[i | bit]
+                               for i in _index_map(scope, f.scope)))
 
 
 def restrict(f: Factor, var: str, state: str) -> Factor:
     """Condition a factor on var = state, dropping var from the scope."""
     if var not in f.scope:
         return f
-    pos = f.scope.index(var)
-    scope = f.scope[:pos] + f.scope[pos + 1:]
-    states = f.states[:pos] + f.states[pos + 1:]
-    table = {}
-    for combo, value in f.table.items():
-        if combo[pos] == state:
-            table[combo[:pos] + combo[pos + 1:]] = value
-    ordered = {c: table[c] for c in itertools.product(*states)}
-    return Factor(scope, states, ordered)
+    offset = _bit(f.scope, var) * BINARY_STATES.index(state)
+    scope = tuple(v for v in f.scope if v != var)
+    return Factor(scope, tuple(f.table[i + offset]
+                               for i in _index_map(scope, f.scope)))
 
 
-def _elimination_order(factors, to_eliminate):
-    """Greedy fewest-resulting-scope-first order, lexicographic tie-break."""
+def _elimination_order(scopes, to_eliminate):
+    """Greedy fewest-resulting-scope-first order, lexicographic tie-break.
+    Plans on the factor scopes alone; no table is built."""
     order = []
-    factors = list(factors)
+    scopes = [set(s) for s in scopes]
     remaining = set(to_eliminate)
     while remaining:
         best = None
         for var in sorted(remaining):
             scope = set()
-            for f in factors:
-                if var in f.scope:
-                    scope.update(f.scope)
+            for s in scopes:
+                if var in s:
+                    scope.update(s)
             scope.discard(var)
             key = (len(scope), var)
             if best is None or key < best[0]:
@@ -361,10 +361,9 @@ def _elimination_order(factors, to_eliminate):
         _, var, scope = best
         order.append(var)
         remaining.discard(var)
-        factors = [f for f in factors if var not in f.scope]
+        scopes = [s for s in scopes if var not in s]
         if scope:
-            factors.append(Factor(tuple(sorted(scope)),
-                                  tuple(() for _ in scope), {}))
+            scopes.append(scope)
     return order
 
 
@@ -380,7 +379,6 @@ def marginal_ve(net: BayesianNetwork, target: str,
     _require_valid(net)
     evidence = dict(evidence or {})
     _check_query(net, target, evidence)
-    target_states = net.variable_map()[target].states
 
     factors = [factor_from_cpt(net, v.id) for v in net.variables]
     for var, state in evidence.items():
@@ -388,7 +386,7 @@ def marginal_ve(net: BayesianNetwork, target: str,
 
     keep = {target} | set(evidence)
     to_eliminate = [v.id for v in net.variables if v.id not in keep]
-    for var in _elimination_order(factors, to_eliminate):
+    for var in _elimination_order((f.scope for f in factors), to_eliminate):
         relevant = [f for f in factors if var in f.scope]
         if not relevant:
             continue
@@ -402,18 +400,11 @@ def marginal_ve(net: BayesianNetwork, target: str,
     for f in factors:
         result = factor_product(result, f)
 
-    if target in evidence:
-        normalizer = result.table[()] if result.scope == () else sum(
-            result.table.values())
-        if normalizer <= 0.0:
-            raise ImpossibleEvidenceError(evidence)
-        return {s: (1.0 if s == evidence[target] else 0.0) for s in target_states}
-
-    totals = {s: 0.0 for s in target_states}
-    pos = result.scope.index(target)
-    for combo, value in result.table.items():
-        totals[combo[pos]] += value
-    normalizer = sum(totals.values())
+    # Every other variable is summed out or restricted away, so the scope
+    # is (target,), or () when the target is evidence.
+    normalizer = sum(result.table)
     if normalizer <= 0.0:
         raise ImpossibleEvidenceError(evidence)
-    return {s: totals[s] / normalizer for s in target_states}
+    if target in evidence:
+        return {s: (1.0 if s == evidence[target] else 0.0) for s in BINARY_STATES}
+    return {s: p / normalizer for s, p in zip(BINARY_STATES, result.table)}

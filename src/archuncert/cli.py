@@ -10,17 +10,20 @@ import json
 import sys
 
 from . import analysis, arch as arch_mod, calibration, formats, patterns
-from .bn import validate_network
+from .bn import Cpt
 from .errors import ArchUncertError, UsageError
 
 
-def _load_architecture(path):
+def _read_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    return formats.parse_architecture(text)
+
+
+def _load_architecture(path):
+    return formats.parse_architecture(_read_file(path))
 
 
 def _parse_evidence(pairs):
@@ -52,9 +55,12 @@ def _parse_vary(items):
 def _write_output(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _finding_json(finding):
@@ -63,11 +69,7 @@ def _finding_json(finding):
 
 
 def cmd_validate(args):
-    try:
-        with open(args.arch_file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.arch_file}: {exc}") from exc
+    text = _read_file(args.arch_file)
     try:
         document = formats.parse_architecture_document(text)
     except ArchUncertError as exc:
@@ -76,10 +78,7 @@ def cmd_validate(args):
         else:
             print(f"parse error: {exc}")
         return 1
-    report = arch_mod.validate_architecture(document)
-    findings = list(report.findings)
-    if report.ok:
-        findings.extend(validate_network(arch_mod.to_network(document)).findings)
+    findings = arch_mod.validate_architecture(document).findings
     if args.format == "json":
         print(json.dumps({"ok": not findings,
                           "findings": [_finding_json(f) for f in findings]}))
@@ -142,12 +141,7 @@ def cmd_apply_pattern(args):
 
 
 def cmd_calibrate(args):
-    try:
-        with open(args.records_file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.records_file}: {exc}") from exc
-    record_set = formats.parse_calibration_csv(text)
+    record_set = formats.parse_calibration_csv(_read_file(args.records_file))
 
     threshold = calibration.compute_threshold(record_set.records)
     if threshold.no_incorrect:
@@ -179,22 +173,15 @@ def cmd_calibrate(args):
 
 
 def _print_cpt_block(var_id, parents, prior, rows):
-    quoted = json.dumps(var_id)
-    print("cpts:")
-    print(f"  {quoted}:")
     if rows is None:
-        print("    parents: []")
-        print("    rows:")
-        print(f'      "": {prior.p_high!r}')
-        return
-    rendered = "[" + ", ".join(json.dumps(p) for p in parents) + "]"
-    print(f"    parents: {rendered}")
-    print("    rows:")
-    unestimated = []
-    for key in sorted(rows, key=lambda k: k.split(",")):
-        print(f"      {json.dumps(key)}: {rows[key].p_high!r}")
-        if not rows[key].estimated:
-            unestimated.append(key)
+        cpt = Cpt(var_id, (), {"": prior.p_high})
+        unestimated = []
+    else:
+        cpt = Cpt(var_id, parents,
+                  {key: row.p_high for key, row in rows.items()})
+        unestimated = [key for key in cpt.expected_keys()
+                       if not rows[key].estimated]
+    sys.stdout.write(formats.serialize_cpts({var_id: cpt}))
     if unestimated:
         print("# unestimated rows defaulted to 0.5: "
               + ", ".join(json.dumps(k) for k in unestimated))

@@ -202,9 +202,15 @@ def serialize_architecture(arch: AnnotatedArchitecture) -> str:
         out.append(f'- {{"id": {_q(a.id)}, "kind": {_q(a.kind)}, '
                    f'"attaches_to": {attached}}}\n')
 
-    out.append("cpts:\n" if arch.cpts else "cpts: {}\n")
-    for var_id in _cpt_order(arch):
-        cpt = arch.cpts[var_id]
+    out.append(serialize_cpts({v: arch.cpts[v] for v in _cpt_order(arch)}))
+    return "".join(out)
+
+
+def serialize_cpts(cpts: dict[str, Cpt]) -> str:
+    """The ``cpts:`` block of an architecture document: CPTs in mapping
+    order, rows in canonical order."""
+    out = ["cpts:\n" if cpts else "cpts: {}\n"]
+    for var_id, cpt in cpts.items():
         parents = "[" + ", ".join(_q(p) for p in cpt.parents) + "]"
         out.append(f"  {_q(var_id)}:\n")
         out.append(f"    parents: {parents}\n")
@@ -296,9 +302,10 @@ def write_sweep_csv(result) -> str:
 
     if isinstance(result, ComparisonResult):
         lines = ["t,p_high_a,p_high_b,delta"]
-        for (t, pa), (_, pb) in zip(result.sweep_a.points,
-                                    result.sweep_b.points):
-            lines.append(f"{_num(t)},{_num(pa)},{_num(pb)},{_num(pa - pb)}")
+        for (t, pa), (_, pb), delta in zip(result.sweep_a.points,
+                                           result.sweep_b.points,
+                                           result.deltas):
+            lines.append(f"{_num(t)},{_num(pa)},{_num(pb)},{_num(delta)}")
         if result.crossings:
             for c in result.crossings:
                 lines.append(

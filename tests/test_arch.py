@@ -98,6 +98,14 @@ class TestValidateArchitecture:
         cycle = next(f for f in report.findings if f.kind == "cycle")
         assert cycle.path[0] == cycle.path[-1]
 
+    def test_long_chains_validate(self):
+        # deep enough to exhaust a recursive depth-first search
+        ids = [f"c{i:04d}" for i in range(1500)]
+        for chain in (ids, ids[::-1]):
+            arch = dag_architecture(chain, list(zip(chain, chain[1:])))
+            assert validate_architecture(arch).ok
+            assert validate_network(to_network(arch)).ok
+
     def test_stochastic_must_attach_to_one(self):
         arch = minimal_unit()
         annotations = (arch.annotations[0],

@@ -41,6 +41,19 @@ class TestValidation:
         assert path[0] == path[-1]
         assert set(path) == {"A", "B"}
 
+    def test_cycle_path_follows_the_search(self):
+        # the search starts at the first id in sorted order and follows
+        # parents in declared order; D is a dead end on the way round
+        net = BayesianNetwork(
+            variables=(Variable("A", "component", ("B",)),
+                       Variable("B", "component", ("C",)),
+                       Variable("C", "component", ("D", "A")),
+                       Variable("D", "component", ())),
+            cpts={})
+        cycle = next(f for f in validate_network(net).findings
+                     if f.kind == "cycle")
+        assert cycle.path == ("A", "B", "C", "A")
+
     def test_missing_cpt_row(self):
         net = BayesianNetwork(
             variables=(Variable("A", "component", ()),
@@ -137,18 +150,21 @@ class TestBruteForce:
 
 
 class TestFactorAlgebra:
+    # tables are indexed by a bitmask, first scope variable most
+    # significant, bit set = H: (L, H) for one variable,
+    # (LL, LH, HL, HH) for two
     def f_a(self):
-        return Factor(("A",), (("L", "H"),), {("L",): 0.7, ("H",): 0.3})
+        return Factor(("A",), (0.7, 0.3))
 
     def f_a2(self):
-        return Factor(("A",), (("L", "H"),), {("L",): 0.2, ("H",): 0.9})
+        return Factor(("A",), (0.2, 0.9))
 
     def f_b(self):
-        return Factor(("B",), (("L", "H"),), {("L",): 0.4, ("H",): 0.6})
+        return Factor(("B",), (0.4, 0.6))
 
     def test_pointwise_product(self):
         product = factor_product(self.f_a(), self.f_a2())
-        assert product.table == {("L",): 0.7 * 0.2, ("H",): 0.3 * 0.9}
+        assert product.table == (0.7 * 0.2, 0.3 * 0.9)
 
     def test_unit_factor_is_identity(self):
         f = self.f_a()
@@ -158,27 +174,27 @@ class TestFactorAlgebra:
     def test_outer_product(self):
         product = factor_product(self.f_a(), self.f_b())
         assert product.scope == ("A", "B")
-        assert product.table[("H", "L")] == 0.3 * 0.4
-        assert product.table[("L", "H")] == 0.7 * 0.6
+        assert product.table[0b10] == 0.3 * 0.4  # A=H, B=L
+        assert product.table[0b01] == 0.7 * 0.6  # A=L, B=H
         assert len(product.table) == 4
 
     def test_sum_out_recovers_per_state_sums(self):
         product = factor_product(self.f_a(), self.f_b())
         reduced = sum_out(product, "A")
         assert reduced.scope == ("B",)
-        assert abs(reduced.table[("L",)] - 0.4) <= 1e-15
-        assert abs(reduced.table[("H",)] - 0.6) <= 1e-15
+        assert abs(reduced.table[0] - 0.4) <= 1e-15
+        assert abs(reduced.table[1] - 0.6) <= 1e-15
 
     def test_sum_out_everything_gives_table_total(self):
         scalar = sum_out(self.f_a(), "A")
         assert scalar.scope == ()
-        assert abs(scalar.table[()] - 1.0) <= 1e-15
+        assert abs(scalar.table[0] - 1.0) <= 1e-15
 
     def test_sum_out_commutes(self):
         product = factor_product(self.f_a(), self.f_b())
         one = sum_out(sum_out(product, "A"), "B")
         other = sum_out(sum_out(product, "B"), "A")
-        assert abs(one.table[()] - other.table[()]) <= 1e-15
+        assert abs(one.table[0] - other.table[0]) <= 1e-15
 
     def test_sum_out_unknown_var(self):
         with pytest.raises(UsageError):

@@ -3,7 +3,8 @@ import shutil
 
 import pytest
 
-from archuncert import example_path
+from archuncert import (compute_threshold, estimate_conditional, example_path,
+                        parse_architecture_document, parse_calibration_csv)
 from archuncert.cli import main
 
 
@@ -98,6 +99,15 @@ class TestSweep:
                      "--vary", "Planning@H", "--step", "0.5"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 4
 
+    def test_unwritable_output_exits_2(self, end_to_end, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert main(["sweep", end_to_end, "--target", "Planning",
+                     "--vary", "DE@all", "--step", "0.5",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
+
     def test_byte_identical_runs(self, end_to_end, tmp_path):
         args = ["sweep", end_to_end, "--target", "Planning",
                 "--vary", "EU@all", "--step", "0.1"]
@@ -155,6 +165,18 @@ class TestCalibrate:
         out = capsys.readouterr().out
         assert 'cpts:' in out and '"DE":' in out
         assert 'parents: ["EU"]' in out
+        block = out[out.index("cpts:"):]
+        document = parse_architecture_document(
+            'name: "emitted"\ncomponents:\n- {"id": "DE", "kind": "ml"}\n'
+            + block)
+        cpt = document.cpts["DE"]
+        assert cpt.parents == ("EU",)
+        assert list(cpt.rows) == ["L", "H"]  # canonical row order
+        with open(samples_csv, encoding="utf-8") as fh:
+            records = parse_calibration_csv(fh.read()).records
+        rows = estimate_conditional(
+            records, compute_threshold(records).value, ("EU",))
+        assert cpt.rows == {key: row.p_high for key, row in rows.items()}
 
     def test_data_error_exits_1(self, tmp_path):
         path = tmp_path / "bad.csv"
