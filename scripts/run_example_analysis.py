@@ -17,7 +17,8 @@ from archuncert import (NVersionSpec, SweepSpec, ALL_ROWS, apply_n_version,
 
 
 def load(name):
-    return parse_architecture(example_path(name).read_text())
+    text = example_path(name).read_text(encoding="utf-8")
+    return parse_architecture(text)
 
 
 def main():

@@ -3,18 +3,21 @@
 A sweep writes the same grid value t into one or more selected CPT rows of
 a working copy of the network and reads off the high-state marginal of a
 query variable. Grid values are computed as from + i*step with integer i
-(never accumulated addition), so a [0,1] sweep at step 0.01 hits exactly
-101 points ending at 1.0.
+(never accumulated addition) and clamped to the range's end, so a [0,1]
+sweep at step 0.01 hits exactly 101 points ending at 1.0. The query is
+planned once per network (``bn.plan_ve``) and run at every grid point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
-from .bn import BayesianNetwork, Cpt, HIGH, marginal_ve
+from .bn import BayesianNetwork, Cpt, HIGH, marginal_ve, plan_ve
 from .errors import UsageError
 
 ALL_ROWS = "all"  # row selector wildcard
+MAX_INTERVALS = 100_000  # largest grid a sweep may ask for, less one point
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,19 @@ class SweepSpec:
             raise UsageError(
                 f"sweep range must satisfy 0 <= from < to <= 1, "
                 f"got [{self.start}, {self.stop}]")
-        if self.step <= 0:
-            raise UsageError(f"step must be positive, got {self.step!r}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise UsageError(
+                f"step must be positive and finite, got {self.step!r}")
         intervals = (self.stop - self.start) / self.step
+        if intervals > MAX_INTERVALS + 0.5:  # would round above the cap
+            raise UsageError(
+                f"step {self.step} makes {intervals:.3g} intervals over "
+                f"[{self.start}, {self.stop}]; at most {MAX_INTERVALS} "
+                f"are allowed")
+        if round(intervals) < 1:
+            raise UsageError(
+                f"step {self.step} is wider than the range "
+                f"[{self.start}, {self.stop}]")
         if abs(intervals - round(intervals)) > 1e-9:
             raise UsageError(
                 f"step {self.step} does not divide the range "
@@ -44,7 +57,8 @@ class SweepSpec:
     @property
     def grid(self):
         n = round((self.stop - self.start) / self.step)
-        return [self.start + i * self.step for i in range(n + 1)]
+        return [min(self.start + i * self.step, self.stop)
+                for i in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -104,23 +118,15 @@ def _resolve_rows(net: BayesianNetwork, spec: SweepSpec):
                     f"sweep selector {var}@{selector!r}: no such CPT row "
                     f"(rows: {cpt.expected_keys()})")
             keys = [selector]
-        if not keys:
-            raise UsageError(f"sweep selector {var}@{selector!r} selects no rows")
         resolved.extend((var, k) for k in keys)
     return resolved
 
 
 def _with_rows(net: BayesianNetwork, rows, t: float) -> BayesianNetwork:
     cpts = dict(net.cpts)
-    by_var = {}
     for var, key in rows:
-        by_var.setdefault(var, []).append(key)
-    for var, keys in by_var.items():
         old = cpts[var]
-        new_rows = dict(old.rows)
-        for key in keys:
-            new_rows[key] = t
-        cpts[var] = Cpt(old.variable, old.parents, new_rows)
+        cpts[var] = Cpt(old.variable, old.parents, {**old.rows, key: t})
     return replace(net, cpts=cpts)
 
 
@@ -132,11 +138,11 @@ def sweep(net: BayesianNetwork, spec: SweepSpec,
 
 
 def _sweep_rows(net, rows, spec, network_name):
-    points = []
-    for t in spec.grid:
-        working = _with_rows(net, rows, t)
-        points.append((t, evaluate(working, spec.query, spec.evidence)))
-    return SweepResult(tuple(points), spec, network_name)
+    # the grid lies in [0, 1], so each point's CPTs stay valid
+    marginal = plan_ve(net, spec.query, spec.evidence)
+    points = tuple((t, marginal(_with_rows(net, rows, t).cpts)[HIGH])
+                   for t in spec.grid)
+    return SweepResult(points, spec, network_name)
 
 
 def find_crossings(curve_a, curve_b) -> list[Crossing]:

@@ -159,9 +159,7 @@ def to_network(arch: AnnotatedArchitecture) -> BayesianNetwork:
     declaration order. Architecture validation covers every check
     ``validate_network`` makes, so the network is not validated again.
     """
-    report = validate_architecture(arch)
-    if not report.ok:
-        raise InvalidArchitectureError(report.findings)
+    validate_architecture(arch).raise_unless_ok(InvalidArchitectureError)
     variables = _network_variables(arch)
     return BayesianNetwork(tuple(variables),
                            {v.id: arch.cpts[v.id] for v in variables})

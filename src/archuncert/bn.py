@@ -6,8 +6,12 @@ indexed by a bitmask over the scope (Darwiche, *Modeling and Reasoning with
 Bayesian Networks*, 2009, ch. 6).
 
 Two inference routes are provided on purpose: ``marginal_brute_force``
-enumerates the full joint and serves as the oracle, ``marginal_ve`` is the
-production path (variable elimination). They must agree to 1e-12.
+sums the ``joint_probability`` product over all assignments and serves as
+the oracle, ``marginal_ve`` is the production path (variable elimination).
+They must agree to 1e-12 and share one query contract. ``plan_ve`` checks
+a query and fixes its elimination order once, from the graph and the
+evidence variables; the plan then runs on any CPTs with the same
+variables, parents and rows, e.g. at every point of a sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ LOW = "L"
 HIGH = "H"
 BINARY_STATES = (LOW, HIGH)
 
-VARIABLE_KINDS = ("component", "epistemic", "stochastic", "monitor", "voter")
 ROOT_ONLY_KINDS = ("epistemic", "stochastic", "monitor")
 
 
@@ -29,6 +32,12 @@ def row_key(states):
     """Key a CPT row by its parent assignment: 'L'/'H' symbols joined by
     commas in declared parent order; the empty string for roots."""
     return ",".join(states)
+
+
+def row_keys(parents):
+    """Row keys of all assignments of ``parents``, in table order."""
+    return [row_key(c) for c in
+            itertools.product(BINARY_STATES, repeat=len(parents))]
 
 
 @dataclass(frozen=True)
@@ -51,19 +60,13 @@ class Cpt:
     rows: dict[str, float]  # row_key -> p_high
 
     def expected_keys(self):
-        if not self.parents:
-            return [""]
-        return [row_key(c) for c in
-                itertools.product(BINARY_STATES, repeat=len(self.parents))]
+        return row_keys(self.parents)
 
 
 @dataclass(frozen=True)
 class BayesianNetwork:
     variables: tuple[Variable, ...]
     cpts: dict[str, Cpt]
-
-    def variable_map(self):
-        return {v.id: v for v in self.variables}
 
     def variable(self, var_id):
         for v in self.variables:
@@ -103,6 +106,11 @@ class ValidationReport:
             return "OK"
         return "\n".join(str(f) for f in self.findings)
 
+    def raise_unless_ok(self, error):
+        """The one validation gate: raise ``error(findings)`` if any."""
+        if self.findings:
+            raise error(self.findings)
+
 
 def _find_cycle(ids, parents_of):
     """Return one cycle as a vertex sequence [a, ..., a], or None.
@@ -141,9 +149,12 @@ def check_cpts(variables, cpts) -> list[Finding]:
     for v in variables:
         cpt = cpts.get(v.id)
         if cpt is None:
-            expected = Cpt(v.id, v.parents, {}).expected_keys()
-            findings.append(
-                Finding("missing CPT", v.id, f"expected rows {expected}"))
+            findings.append(Finding("missing CPT", v.id,
+                                    f"expected rows {row_keys(v.parents)}"))
+            continue
+        if cpt.variable != v.id:
+            findings.append(Finding("CPT variable mismatch", v.id,
+                                    f"CPT is for {cpt.variable!r}"))
             continue
         if tuple(cpt.parents) != tuple(v.parents):
             findings.append(
@@ -200,21 +211,18 @@ def validate_network(net: BayesianNetwork) -> ValidationReport:
     return report
 
 
-def _require_valid(net):
-    report = validate_network(net)
-    if not report.ok:
-        raise InvalidNetworkError(report.findings)
-
-
-def _cpt_entry(cpt, state, parent_states):
-    p_high = cpt.rows[row_key(parent_states)]
-    return p_high if state == HIGH else 1.0 - p_high
+def _joint(variables, cpts, assignment):
+    prob = 1.0
+    for v in variables:
+        p_high = cpts[v.id].rows[row_key(assignment[p] for p in v.parents)]
+        prob *= p_high if assignment[v.id] == HIGH else 1.0 - p_high
+    return prob
 
 
 def joint_probability(net: BayesianNetwork, assignment: dict[str, str]) -> float:
     """Probability of one full assignment: the product over variables of
     the CPT entry for the variable's state given its parents' states."""
-    _require_valid(net)
+    validate_network(net).raise_unless_ok(InvalidNetworkError)
     ids = [v.id for v in net.variables]
     missing = [i for i in ids if i not in assignment]
     extra = [k for k in assignment if k not in ids]
@@ -222,15 +230,15 @@ def joint_probability(net: BayesianNetwork, assignment: dict[str, str]) -> float
         raise UsageError(
             f"assignment must cover every variable exactly once "
             f"(missing: {missing}, extra: {extra})")
-    prob = 1.0
-    for v in net.variables:
-        cpt = net.cpts[v.id]
-        parent_states = tuple(assignment[p] for p in v.parents)
-        prob *= _cpt_entry(cpt, assignment[v.id], parent_states)
-    return prob
+    return _joint(net.variables, net.cpts, assignment)
 
 
-def _check_query(net, target, evidence):
+def _plan_query(net, target, evidence, plan_joint):
+    """The query contract of both routes: check the network and the query
+    once, then map CPTs to P(target | evidence) by normalizing the
+    (P(target=L, e), P(target=H, e)) that ``plan_joint`` plans."""
+    validate_network(net).raise_unless_ok(InvalidNetworkError)
+    evidence = dict(evidence or {})
     ids = {v.id for v in net.variables}
     if target not in ids:
         raise UsageError(f"unknown target variable: {target!r}")
@@ -240,30 +248,35 @@ def _check_query(net, target, evidence):
     for var, state in evidence.items():
         if state not in BINARY_STATES:
             raise UsageError(f"evidence {var}={state!r}: state must be 'L' or 'H'")
+    joint = plan_joint(net, target, evidence)
+
+    def marginal(cpts):
+        low, high = joint(cpts)
+        normalizer = low + high
+        if normalizer <= 0.0:
+            raise ImpossibleEvidenceError(evidence)
+        return {LOW: low / normalizer, HIGH: high / normalizer}
+    return marginal
+
+
+def _enumeration(net, target, evidence):
+    def joint(cpts):
+        ids = [v.id for v in net.variables]
+        totals = {s: 0.0 for s in BINARY_STATES}
+        for combo in itertools.product(BINARY_STATES, repeat=len(ids)):
+            assignment = dict(zip(ids, combo))
+            if all(assignment[v] == s for v, s in evidence.items()):
+                totals[assignment[target]] += _joint(
+                    net.variables, cpts, assignment)
+        return totals[LOW], totals[HIGH]
+    return joint
 
 
 def marginal_brute_force(net: BayesianNetwork, target: str,
                          evidence: dict[str, str] | None = None) -> dict[str, float]:
-    """P(target | evidence) by full-joint enumeration. The oracle route:
-    exponential, only viable on small networks, trusted by construction."""
-    _require_valid(net)
-    evidence = dict(evidence or {})
-    _check_query(net, target, evidence)
-    ids = [v.id for v in net.variables]
-    totals = {s: 0.0 for s in BINARY_STATES}
-    for combo in itertools.product(BINARY_STATES, repeat=len(ids)):
-        assignment = dict(zip(ids, combo))
-        if any(assignment[v] != s for v, s in evidence.items()):
-            continue
-        prob = 1.0
-        for v in net.variables:
-            parent_states = tuple(assignment[p] for p in v.parents)
-            prob *= _cpt_entry(net.cpts[v.id], assignment[v.id], parent_states)
-        totals[assignment[target]] += prob
-    normalizer = sum(totals.values())
-    if normalizer <= 0.0:
-        raise ImpossibleEvidenceError(evidence)
-    return {s: totals[s] / normalizer for s in BINARY_STATES}
+    """P(target | evidence) as a sum of joint probabilities: the oracle
+    route, exponential and trusted by construction."""
+    return _plan_query(net, target, evidence, _enumeration)(net.cpts)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +316,12 @@ def unit_factor() -> Factor:
     return Factor(scope=(), table=(1.0,))
 
 
-def factor_from_cpt(net: BayesianNetwork, var_id: str) -> Factor:
-    cpt = net.cpts[var_id]
+def factor_from_cpt(cpt: Cpt) -> Factor:
     table = []
     for key in cpt.expected_keys():  # parent assignments in mask order
         p_high = cpt.rows[key]
         table += (1.0 - p_high, p_high)
-    return Factor(tuple(cpt.parents) + (var_id,), tuple(table))
+    return Factor(tuple(cpt.parents) + (cpt.variable,), tuple(table))
 
 
 def factor_product(f1: Factor, f2: Factor) -> Factor:
@@ -341,12 +353,13 @@ def restrict(f: Factor, var: str, state: str) -> Factor:
                                for i in _index_map(scope, f.scope)))
 
 
-def _elimination_order(scopes, to_eliminate):
+def _elimination_order(net, target, evidence):
     """Greedy fewest-resulting-scope-first order, lexicographic tie-break.
-    Plans on the factor scopes alone; no table is built."""
+    Plans on the CPT factors' scopes with the evidence restricted away;
+    no table is built."""
     order = []
-    scopes = [set(s) for s in scopes]
-    remaining = set(to_eliminate)
+    scopes = [set(v.parents + (v.id,)) - set(evidence) for v in net.variables]
+    remaining = {v.id for v in net.variables} - {target} - set(evidence)
     while remaining:
         best = None
         for var in sorted(remaining):
@@ -367,44 +380,42 @@ def _elimination_order(scopes, to_eliminate):
     return order
 
 
-def marginal_ve(net: BayesianNetwork, target: str,
-                evidence: dict[str, str] | None = None) -> dict[str, float]:
-    """P(target | evidence) by variable elimination.
+def _elimination(net, target, evidence):
+    order = _elimination_order(net, target, evidence)
 
-    Deterministic contract: CPT factors are created in network variable
+    def joint(cpts):
+        factors = [factor_from_cpt(cpts[v.id]) for v in net.variables]
+        for var, state in evidence.items():
+            factors = [restrict(f, var, state) for f in factors]
+        # a variable stays in its own CPT factor until it is eliminated
+        for var in order:
+            relevant = [f for f in factors if var in f.scope]
+            product = relevant[0]
+            for f in relevant[1:]:
+                product = factor_product(product, f)
+            factors = [f for f in factors if var not in f.scope]
+            factors.append(sum_out(product, var))
+        result = unit_factor()
+        for f in factors:
+            result = factor_product(result, f)
+        if target in evidence:  # restricted away: the table is (P(e),)
+            return tuple(result.table[0] if s == evidence[target] else 0.0
+                         for s in BINARY_STATES)
+        return result.table
+    return joint
+
+
+def plan_ve(net: BayesianNetwork, target: str,
+            evidence: dict[str, str] | None = None):
+    """Plan P(target | evidence) by variable elimination once, as a
+    function of the CPTs. Deterministic: factors are created in variable
     order, evidence is applied up front, and the elimination order is
     fewest-resulting-scope-first with lexicographic tie-break, so repeated
-    runs are bit-identical.
-    """
-    _require_valid(net)
-    evidence = dict(evidence or {})
-    _check_query(net, target, evidence)
+    runs are bit-identical."""
+    return _plan_query(net, target, evidence, _elimination)
 
-    factors = [factor_from_cpt(net, v.id) for v in net.variables]
-    for var, state in evidence.items():
-        factors = [restrict(f, var, state) for f in factors]
 
-    keep = {target} | set(evidence)
-    to_eliminate = [v.id for v in net.variables if v.id not in keep]
-    for var in _elimination_order((f.scope for f in factors), to_eliminate):
-        relevant = [f for f in factors if var in f.scope]
-        if not relevant:
-            continue
-        product = relevant[0]
-        for f in relevant[1:]:
-            product = factor_product(product, f)
-        factors = [f for f in factors if var not in f.scope]
-        factors.append(sum_out(product, var))
-
-    result = unit_factor()
-    for f in factors:
-        result = factor_product(result, f)
-
-    # Every other variable is summed out or restricted away, so the scope
-    # is (target,), or () when the target is evidence.
-    normalizer = sum(result.table)
-    if normalizer <= 0.0:
-        raise ImpossibleEvidenceError(evidence)
-    if target in evidence:
-        return {s: (1.0 if s == evidence[target] else 0.0) for s in BINARY_STATES}
-    return {s: p / normalizer for s, p in zip(BINARY_STATES, result.table)}
+def marginal_ve(net: BayesianNetwork, target: str,
+                evidence: dict[str, str] | None = None) -> dict[str, float]:
+    """P(target | evidence) by variable elimination: ``plan_ve`` run once."""
+    return plan_ve(net, target, evidence)(net.cpts)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bn import row_key, row_keys
 from .errors import DataError, UsageError
 
 INFINITE_THRESHOLD = math.inf
@@ -78,10 +79,6 @@ def estimate_conditional(records, threshold: float,
     Groups without records get a flagged default of 0.5: prior information
     is allowed to be incomplete, not silently invented.
     """
-    import itertools
-
-    from .bn import BINARY_STATES, row_key
-
     records = list(records)
     parent_order = tuple(parent_order)
     if not records:
@@ -100,8 +97,7 @@ def estimate_conditional(records, threshold: float,
         groups.setdefault(key, []).append(r)
 
     rows = {}
-    for combo in itertools.product(BINARY_STATES, repeat=len(parent_order)):
-        key = row_key(combo)
+    for key in row_keys(parent_order):
         members = groups.get(key, [])
         if not members:
             rows[key] = ConditionalRow(0.5, 0, 0, estimated=False)

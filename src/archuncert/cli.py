@@ -11,7 +11,7 @@ import sys
 
 from . import analysis, arch as arch_mod, calibration, formats, patterns
 from .bn import Cpt
-from .errors import ArchUncertError, UsageError
+from .errors import ArchUncertError, DataError, UsageError
 
 
 def _read_file(path):
@@ -20,6 +20,9 @@ def _read_file(path):
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text "
+                        f"(byte {exc.start}: {exc.reason})") from exc
 
 
 def _load_architecture(path):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import yaml
 
+from .analysis import ComparisonResult, SweepResult
 from .arch import (AnnotatedArchitecture, Component, UncertaintyAnnotation,
                    validate_architecture)
 from .bn import BINARY_STATES, Cpt
@@ -154,9 +155,7 @@ def parse_architecture_document(text: str) -> AnnotatedArchitecture:
 def parse_architecture(text: str) -> AnnotatedArchitecture:
     """Parse and fully validate an architecture document."""
     arch = parse_architecture_document(text)
-    report = validate_architecture(arch)
-    if not report.ok:
-        raise InvalidArchitectureError(report.findings)
+    validate_architecture(arch).raise_unless_ok(InvalidArchitectureError)
     return arch
 
 
@@ -290,8 +289,6 @@ def parse_calibration_csv(text: str) -> CalibrationRecordSet:
 
 def write_sweep_csv(result) -> str:
     """Render a SweepResult or ComparisonResult as deterministic CSV."""
-    from .analysis import ComparisonResult, SweepResult
-
     if isinstance(result, SweepResult):
         if not result.points:
             raise UsageError("cannot write an empty sweep")

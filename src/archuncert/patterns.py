@@ -50,9 +50,7 @@ def apply_n_version(arch: AnnotatedArchitecture,
     The voter intercepts every outgoing edge of the target; the input
     architecture is left unmodified.
     """
-    report = validate_architecture(arch)
-    if not report.ok:
-        raise InvalidArchitectureError(report.findings)
+    validate_architecture(arch).raise_unless_ok(InvalidArchitectureError)
 
     target = arch.component(spec.target)  # UsageError on unknown id
     if target.kind != "ml":

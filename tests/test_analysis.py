@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from archuncert.analysis import (ALL_ROWS, SweepSpec, compare, evaluate,
+from archuncert import bn
+from archuncert.analysis import (ALL_ROWS, SweepSpec, _resolve_rows,
+                                 _with_rows, compare, evaluate,
                                  find_crossings, sweep)
-from archuncert.bn import BayesianNetwork, Cpt, Variable, marginal_brute_force
-from archuncert.errors import UsageError
-from helpers import random_network, two_node_network
+from archuncert.bn import (HIGH, BayesianNetwork, Cpt, Variable,
+                           marginal_brute_force, marginal_ve)
+from archuncert.errors import ImpossibleEvidenceError, UsageError
+from helpers import random_network, random_query, two_node_network
 
 
 def affine_net(low, high):
@@ -44,6 +47,32 @@ class TestSweepSpec:
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
         assert grid[50] == 50 * 0.01
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(UsageError, match="positive and finite"):
+            SweepSpec((("A", ""),), "B", step=step)
+
+    def test_step_wider_than_range_rejected(self):
+        with pytest.raises(UsageError, match="wider than the range"):
+            SweepSpec((("A", ""),), "B", step=1e10)
+
+    @pytest.mark.parametrize("step", [1e-9, 5e-324])
+    def test_grid_size_is_capped(self, step):
+        with pytest.raises(UsageError, match="at most 100000"):
+            SweepSpec((("A", ""),), "B", step=step)
+
+    def test_largest_grid_is_accepted(self):
+        assert len(SweepSpec((("A", ""),), "B", step=1e-5).grid) == 100001
+
+    def test_grid_stays_inside_range(self):
+        # 0.1 + 7 * (0.9 / 7) overshoots 1.0 by one ulp
+        spec = SweepSpec((("A", ""),), "B", start=0.1,
+                         step=0.1285714285714286)
+        grid = spec.grid
+        assert len(grid) == 8
+        assert grid[0] == 0.1 and grid[-1] == 1.0
+        assert all(0.1 <= t <= 1.0 for t in grid)
 
 
 class TestSweep:
@@ -109,11 +138,63 @@ class TestSweep:
         spec = SweepSpec(((ids[0], ALL_ROWS), (ids[1], ALL_ROWS)),
                          ids[-1], step=0.25)
         result = sweep(net, spec)
-        from archuncert.analysis import _resolve_rows, _with_rows
         rows = _resolve_rows(net, spec)
         for t, p in result.points:
             working = _with_rows(net, rows, t)
             assert abs(p - marginal_brute_force(working, ids[-1])["H"]) <= 1e-12
+
+
+    def test_points_equal_per_point_ve(self):
+        # one plan per network must give exactly what a fresh marginal_ve
+        # on each grid point's network gives
+        rng = random.Random(2024)
+        for _ in range(40):
+            net = random_network(rng, n_min=3, n_max=8)
+            query, evidence = random_query(rng, net)
+            targets = []
+            for var in rng.sample([v.id for v in net.variables],
+                                  rng.randint(1, 3)):
+                keys = net.cpts[var].expected_keys()
+                targets.append((var, rng.choice(keys + [ALL_ROWS])))
+            spec = SweepSpec(tuple(targets), query, evidence, step=0.125)
+            rows = _resolve_rows(net, spec)
+            expected = []
+            for t in spec.grid:
+                working = _with_rows(net, rows, t)
+                try:
+                    p = marginal_ve(working, query, evidence)[HIGH]
+                except ImpossibleEvidenceError:
+                    with pytest.raises(ImpossibleEvidenceError):
+                        sweep(net, spec)
+                    break
+                expected.append((t, p))
+            else:
+                assert sweep(net, spec).points == tuple(expected)
+
+    def test_impossible_evidence_at_an_endpoint(self):
+        # P(B=H) = t, so the evidence B=H is impossible at t = 0
+        spec = SweepSpec((("B", ALL_ROWS),), "A", {"B": "H"}, step=0.5)
+        net = two_node_network()
+        with pytest.raises(ImpossibleEvidenceError):
+            sweep(net, spec)
+        with pytest.raises(ImpossibleEvidenceError):
+            marginal_ve(_with_rows(net, _resolve_rows(net, spec), 0.0),
+                        "A", {"B": "H"})
+
+    def test_validates_each_network_once(self, monkeypatch):
+        calls = []
+        validate = bn.validate_network
+
+        def counting(net):
+            calls.append(net)
+            return validate(net)
+
+        monkeypatch.setattr(bn, "validate_network", counting)
+        spec = SweepSpec((("A", ""),), "B")
+        sweep(two_node_network(), spec)
+        assert len(calls) == 1
+        compare(affine_net(0.2, 0.9), affine_net(0.8, 0.3), spec)
+        assert len(calls) == 3
 
 
 class TestFindCrossings:

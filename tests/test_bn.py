@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from archuncert.bn import (BayesianNetwork, Cpt, Factor, Variable,
                            factor_product, joint_probability,
-                           marginal_brute_force, marginal_ve, sum_out,
-                           unit_factor, validate_network)
+                           marginal_brute_force, marginal_ve, row_keys,
+                           sum_out, unit_factor, validate_network)
 from archuncert.errors import (ImpossibleEvidenceError, InvalidNetworkError,
                                UsageError)
 from helpers import random_network, random_query, two_node_network
+
+# both inference routes answer through the same query contract
+ROUTES = (marginal_ve, marginal_brute_force)
 
 
 def chain_network():
@@ -63,6 +66,14 @@ class TestValidation:
         report = validate_network(net)
         assert [ (f.kind, f.variable, f.detail) for f in report.findings ] == [
             ("missing CPT row", "B", "row 'L'")]
+
+    def test_cpt_for_another_variable(self):
+        net = BayesianNetwork(
+            variables=(Variable("A", "component", ()),),
+            cpts={"A": Cpt("B", (), {"": 0.5})})
+        assert [(f.kind, f.variable, f.detail)
+                for f in validate_network(net).findings] == [
+            ("CPT variable mismatch", "A", "CPT is for 'B'")]
 
     def test_extra_row_out_of_range_duplicate_dangling(self):
         net = BayesianNetwork(
@@ -136,8 +147,9 @@ class TestBruteForce:
         assert abs(dist["H"] - 0.27 / 0.41) <= 1e-12
 
     def test_evidence_on_target(self):
-        dist = marginal_brute_force(two_node_network(), "A", {"A": "H"})
-        assert dist == {"L": 0.0, "H": 1.0}
+        for marginal in ROUTES:
+            dist = marginal(two_node_network(), "A", {"A": "H"})
+            assert dist == {"L": 0.0, "H": 1.0}
 
     def test_impossible_evidence(self):
         net = BayesianNetwork(
@@ -145,8 +157,9 @@ class TestBruteForce:
                        Variable("B", "component", ("A",))),
             cpts={"A": Cpt("A", (), {"": 0.0}),
                   "B": Cpt("B", ("A",), {"L": 0.5, "H": 0.5})})
-        with pytest.raises(ImpossibleEvidenceError, match="A=H"):
-            marginal_brute_force(net, "B", {"A": "H"})
+        for marginal in ROUTES:
+            with pytest.raises(ImpossibleEvidenceError, match="A=H"):
+                marginal(net, "B", {"A": "H"})
 
 
 class TestFactorAlgebra:
@@ -196,6 +209,10 @@ class TestFactorAlgebra:
         other = sum_out(sum_out(product, "B"), "A")
         assert abs(one.table[0] - other.table[0]) <= 1e-15
 
+    def test_row_keys_in_table_order(self):
+        assert row_keys(()) == [""]
+        assert row_keys(("A", "B")) == ["L,L", "L,H", "H,L", "H,H"]
+
     def test_sum_out_unknown_var(self):
         with pytest.raises(UsageError):
             sum_out(self.f_a(), "Z")
@@ -211,15 +228,17 @@ class TestVariableElimination:
         assert abs(dist["H"] - 0.5) <= 1e-12
 
     def test_evidence_on_target(self):
-        assert marginal_ve(two_node_network(), "A", {"A": "L"}) == {
-            "L": 1.0, "H": 0.0}
+        for marginal in ROUTES:
+            assert marginal(two_node_network(), "A", {"A": "L"}) == {
+                "L": 1.0, "H": 0.0}
 
     def test_impossible_evidence(self):
         net = BayesianNetwork(
             variables=(Variable("A", "component", ()),),
             cpts={"A": Cpt("A", (), {"": 1.0})})
-        with pytest.raises(ImpossibleEvidenceError):
-            marginal_ve(net, "A", {"A": "L"})
+        for marginal in ROUTES:
+            with pytest.raises(ImpossibleEvidenceError):
+                marginal(net, "A", {"A": "L"})
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -247,7 +266,10 @@ class TestVariableElimination:
             assert marginal_ve(net, target, evidence) == first
 
     def test_unknown_target_and_evidence(self):
-        with pytest.raises(UsageError):
-            marginal_ve(two_node_network(), "Z")
-        with pytest.raises(UsageError):
-            marginal_ve(two_node_network(), "A", {"Z": "H"})
+        for marginal in ROUTES:
+            with pytest.raises(UsageError, match="unknown target"):
+                marginal(two_node_network(), "Z")
+            with pytest.raises(UsageError, match="unknown variables"):
+                marginal(two_node_network(), "A", {"Z": "H"})
+            with pytest.raises(UsageError, match="state must be"):
+                marginal(two_node_network(), "A", {"B": "X"})

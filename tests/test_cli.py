@@ -108,6 +108,23 @@ class TestSweep:
         assert err.startswith("error: cannot write")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "-0.1", "1e10", "1e-9"])
+    def test_bad_step_exits_2(self, end_to_end, capsys, step):
+        assert main(["sweep", end_to_end, "--target", "Planning",
+                     "--vary", "DE@all", "--step", step]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "step" in err
+
+    def test_grid_ends_at_stop(self, end_to_end, capsys):
+        # 0.1 + 7 * (0.9 / 7) is 1.0000000000000002 in floating point
+        assert main(["sweep", end_to_end, "--target", "Planning",
+                     "--vary", "DE@all", "--from", "0.1",
+                     "--step", "0.1285714285714286"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 9
+        assert lines[-1].startswith("1.0,")
+
     def test_byte_identical_runs(self, end_to_end, tmp_path):
         args = ["sweep", end_to_end, "--target", "Planning",
                 "--vary", "EU@all", "--step", "0.1"]
@@ -182,6 +199,19 @@ class TestCalibrate:
         path = tmp_path / "bad.csv"
         path.write_text("sample_id,uncertainty,correct\ns1,abc,true\n")
         assert main(["calibrate", str(path)]) == 1
+
+
+class TestUnreadableText:
+    @pytest.mark.parametrize("argv", [["validate"], ["eval", "--target", "DE"],
+                                      ["calibrate"]])
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys, argv):
+        path = tmp_path / "latin.arch"
+        path.write_bytes(b'name: "caf\xff"\n')
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err and "UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestImpact:
