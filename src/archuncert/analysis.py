@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .bn import BayesianNetwork, Cpt, HIGH, marginal_ve, plan_ve
-from .errors import UsageError
+from .errors import ImpossibleEvidenceError, UsageError
 
 ALL_ROWS = "all"  # row selector wildcard
 MAX_INTERVALS = 100_000  # largest grid a sweep may ask for, less one point
@@ -140,9 +140,13 @@ def sweep(net: BayesianNetwork, spec: SweepSpec,
 def _sweep_rows(net, rows, spec, network_name):
     # the grid lies in [0, 1], so each point's CPTs stay valid
     marginal = plan_ve(net, spec.query, spec.evidence)
-    points = tuple((t, marginal(_with_rows(net, rows, t).cpts)[HIGH])
-                   for t in spec.grid)
-    return SweepResult(points, spec, network_name)
+    points = []
+    for t in spec.grid:
+        try:
+            points.append((t, marginal(_with_rows(net, rows, t).cpts)[HIGH]))
+        except ImpossibleEvidenceError as exc:
+            raise ImpossibleEvidenceError(exc.evidence, t) from exc
+    return SweepResult(tuple(points), spec, network_name)
 
 
 def find_crossings(curve_a, curve_b) -> list[Crossing]:
@@ -182,13 +186,19 @@ def compare(net_a: BayesianNetwork, net_b: BayesianNetwork, spec: SweepSpec,
             name_a: str = "A", name_b: str = "B") -> ComparisonResult:
     """Sweep both networks on the same grid and locate where one overtakes
     the other."""
+    named = ((net_a, name_a), (net_b, name_b))
     rows = []
-    for net, name in ((net_a, name_a), (net_b, name_b)):
+    for net, name in named:
         try:
             rows.append(_resolve_rows(net, spec))
         except UsageError as exc:
             raise UsageError(f"network {name!r}: {exc}") from exc
-    sweep_a = _sweep_rows(net_a, rows[0], spec, name_a)
-    sweep_b = _sweep_rows(net_b, rows[1], spec, name_b)
+    sweeps = []
+    for (net, name), net_rows in zip(named, rows):
+        try:
+            sweeps.append(_sweep_rows(net, net_rows, spec, name))
+        except ImpossibleEvidenceError as exc:
+            raise ImpossibleEvidenceError(exc.evidence, exc.t, name) from exc
+    sweep_a, sweep_b = sweeps
     crossings = find_crossings(sweep_a.points, sweep_b.points)
     return ComparisonResult(sweep_a, sweep_b, tuple(crossings))

@@ -60,11 +60,21 @@ def _is_input_sensor(arch, component):
 def expected_parents(arch: AnnotatedArchitecture, comp_id: str) -> tuple[str, ...]:
     """Parent list a component's CPT must be keyed by, per the convention
     in the module docstring."""
+    return tuple(_parent_lists(arch).get(comp_id, ()))
+
+
+def _parent_lists(arch):
+    """Expected parent lists in one pass over the annotations and one over
+    the edges, keyed by every id they point at, component or not."""
     input_ids = {c.id for c in arch.components if _is_input_sensor(arch, c)}
-    annotations = tuple(a.id for a in arch.annotations if comp_id in a.attaches_to)
-    flow = tuple(src for src, dst in arch.edges
-                 if dst == comp_id and src not in input_ids)
-    return annotations + flow
+    parents = {}
+    for a in arch.annotations:
+        for comp_id in dict.fromkeys(a.attaches_to):
+            parents.setdefault(comp_id, []).append(a.id)
+    for src, dst in arch.edges:
+        if src not in input_ids:
+            parents.setdefault(dst, []).append(src)
+    return parents
 
 
 def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
@@ -79,7 +89,9 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
             report.findings.append(Finding("duplicate id", item.id))
         seen.add(item.id)
 
-    comp_ids = {c.id for c in arch.components}
+    by_id = {}
+    for c in arch.components:
+        by_id.setdefault(c.id, c)  # the first of duplicates, as declared
     for c in arch.components:
         if c.kind not in COMPONENT_KINDS:
             report.findings.append(
@@ -87,7 +99,7 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
 
     for src, dst in arch.edges:
         for end in (src, dst):
-            if end not in comp_ids:
+            if end not in by_id:
                 report.findings.append(
                     Finding("dangling edge", end,
                             f"edge {src!r}->{dst!r} references a missing component"))
@@ -96,7 +108,7 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
     for src, dst in arch.edges:
         if src in succ and dst in succ:
             succ[src].append(dst)
-    cycle = _find_cycle(sorted(comp_ids), lambda n: succ.get(n, ()))
+    cycle = _find_cycle(sorted(by_id), lambda n: succ.get(n, ()))
     if cycle is not None:
         report.findings.append(Finding("cycle", cycle[0], path=tuple(cycle)))
 
@@ -113,7 +125,7 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
                 Finding("bad attachment", a.id,
                         "stochastic annotations attach to exactly one component"))
         for cid in a.attaches_to:
-            comp = next((c for c in arch.components if c.id == cid), None)
+            comp = by_id.get(cid)
             if comp is None:
                 report.findings.append(
                     Finding("dangling attachment", a.id,
@@ -143,10 +155,12 @@ def _network_variables(arch):
     """The compiled network's variables: one per annotation (roots), then
     one per non-input component, both in declaration order."""
     variables = [Variable(a.id, a.kind, ()) for a in arch.annotations]
+    parent_lists = _parent_lists(arch)
     for c in arch.components:
         if _is_input_sensor(arch, c):
             continue
-        parents = () if c.kind == "sensor" else expected_parents(arch, c.id)
+        parents = (() if c.kind == "sensor"
+                   else tuple(parent_lists.get(c.id, ())))
         variables.append(Variable(c.id, _variable_kind(c), parents))
     return variables
 

@@ -52,9 +52,16 @@ class InvalidArchitectureError(DataError):
 
 
 class ImpossibleEvidenceError(DataError):
-    """The evidence set has probability zero under the network."""
+    """The evidence set has probability zero under the network; a sweep
+    names the grid value ``t`` it failed at, a comparison the network."""
 
-    def __init__(self, evidence):
+    def __init__(self, evidence, t=None, network=None):
         self.evidence = dict(evidence)
+        self.t = t
         shown = ", ".join(f"{k}={v}" for k, v in sorted(self.evidence.items()))
-        super().__init__(f"impossible evidence: {{{shown}}}")
+        message = f"impossible evidence: {{{shown}}}"
+        if t is not None:
+            message += f" at t = {t!r}"
+        if network is not None:
+            message = f"network {network!r}: {message}"
+        super().__init__(message)

@@ -2,10 +2,18 @@
 
 The architecture document is a YAML subset with a fixed schema. Parsing
 goes through the YAML node tree (not plain safe_load) so every schema
-violation can point at a line and column. Serialization is hand-rolled:
-fixed key order, declaration-order lists, shortest-round-trip floats, all
-strings double-quoted as JSON — parse(serialize(a)) == a structurally and
-serialize is canonical (serialize(parse(s)) is a fixed point).
+violation can point at a line and column. The tree is composed by libyaml
+(``yaml.CSafeLoader``) when PyYAML is built with it, else by PyYAML's
+pure-Python ``SafeLoader``. Both accept the same documents and report
+errors at the same line and column, with two known exceptions: libyaml
+takes a tab as the space between tokens, which the pure-Python loader
+rejects, and a byte order mark that opens a line after the first is an
+error under both, one column apart.
+
+Serialization is hand-rolled: fixed key order, declaration-order lists,
+shortest-round-trip floats, all strings double-quoted as JSON —
+parse(serialize(a)) == a structurally and serialize is canonical
+(serialize(parse(s)) is a fixed point).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -26,6 +35,10 @@ from .errors import DataError, InvalidArchitectureError, ParseError, UsageError
 
 TOP_LEVEL_KEYS = ("name", "components", "edges", "uncertainties", "cpts")
 
+# libyaml composes the bundled examples about 18 times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")  # as YAML counts lines
+
 DOCUMENT_HEADER = (
     '# Annotated architecture document.\n'
     '# CPT row keys are parent states "L"/"H" joined by commas in the\n'
@@ -38,6 +51,19 @@ DOCUMENT_HEADER = (
 
 def _loc(node):
     return node.start_mark.line, node.start_mark.column
+
+
+def _error_position(text, mark):
+    """(line, column) of a YAML error mark as the pure-Python loader reports
+    it. libyaml closes the input with an implicit line break, so an error at
+    the end of input lands on a line past the text; it belongs at the end
+    of the text. The pure-Python loader counts no byte order mark as a
+    column."""
+    line, start = 0, 0
+    for line, brk in enumerate(_LINE_BREAK.finditer(text), start=1):
+        start = brk.end()
+    end = (line, len(text) - start - text.count("\ufeff", start))
+    return min((mark.line, mark.column), end)
 
 
 def _as_mapping(node, what):
@@ -93,12 +119,12 @@ def _fields(node, what, required, optional=()):
 def parse_architecture_document(text: str) -> AnnotatedArchitecture:
     """Syntax and schema only; semantic checks live in validate_architecture."""
     try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
+        root = yaml.compose(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             raise ParseError(str(getattr(exc, "problem", exc)),
-                             mark.line, mark.column) from exc
+                             *_error_position(text, mark)) from exc
         raise ParseError(str(exc)) from exc
     if root is None:
         raise ParseError("empty document", 0, 0)

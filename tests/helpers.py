@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from archuncert.arch import (AnnotatedArchitecture, Component,
                              UncertaintyAnnotation)
@@ -126,3 +127,30 @@ def brute_force_reachable(edges, start):
                 changed = True
     reach.discard(start)
     return reach
+
+
+def fuzz_corpus():
+    """The 10,000 inputs test_format_round_trip feeds the parser (same seed,
+    same draws): random strings over a YAML-heavy alphabet, and serialized
+    random architectures with one character replaced or cut short."""
+    from archuncert.formats import serialize_architecture
+
+    rng = random.Random(0x30B2)
+    documents = [serialize_architecture(random_architecture(rng))
+                 for _ in range(100)]
+    alphabet = "abc:{}[]\"'-_,\n 0123456789.#\té€"
+    corpus = []
+    for i in range(10_000):
+        mode = i % 3
+        if mode == 0:
+            text = "".join(rng.choice(alphabet)
+                           for _ in range(rng.randint(0, 120)))
+        elif mode == 1:
+            text = rng.choice(documents)
+            pos = rng.randrange(max(1, len(text)))
+            text = (text[:pos] + rng.choice(alphabet)
+                    + text[pos + rng.randint(0, 2):])
+        else:
+            text = rng.choice(documents)[:rng.randrange(400)]
+        corpus.append(text)
+    return corpus

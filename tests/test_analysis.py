@@ -172,14 +172,18 @@ class TestSweep:
                 assert sweep(net, spec).points == tuple(expected)
 
     def test_impossible_evidence_at_an_endpoint(self):
-        # P(B=H) = t, so the evidence B=H is impossible at t = 0
-        spec = SweepSpec((("B", ALL_ROWS),), "A", {"B": "H"}, step=0.5)
+        # P(B=H) = t, so B=H is impossible only at t = 0 and B=L at t = 1
         net = two_node_network()
-        with pytest.raises(ImpossibleEvidenceError):
-            sweep(net, spec)
-        with pytest.raises(ImpossibleEvidenceError):
-            marginal_ve(_with_rows(net, _resolve_rows(net, spec), 0.0),
-                        "A", {"B": "H"})
+        for state, t in (("H", 0.0), ("L", 1.0)):
+            spec = SweepSpec((("B", ALL_ROWS),), "A", {"B": state}, step=0.5)
+            with pytest.raises(ImpossibleEvidenceError) as exc:
+                sweep(net, spec)
+            assert str(exc.value) == (
+                f"impossible evidence: {{B={state}}} at t = {t}")
+            assert exc.value.evidence == {"B": state}
+            with pytest.raises(ImpossibleEvidenceError):
+                marginal_ve(_with_rows(net, _resolve_rows(net, spec), t),
+                            "A", {"B": state})
 
     def test_validates_each_network_once(self, monkeypatch):
         calls = []
@@ -249,6 +253,16 @@ class TestCompare:
         assert abs(crossing.estimate - 0.5) <= 0.01
         assert result.delta_start == pytest.approx(-0.6, abs=1e-12)
         assert result.delta_end == pytest.approx(0.6, abs=1e-12)
+
+    def test_impossible_evidence_names_the_network_and_grid_point(self):
+        # P(B=H) is 0.2 + 0.7 t in A-net and 0.3 t in B-net
+        spec = SweepSpec((("A", ""),), "A", {"B": "H"}, step=0.5)
+        with pytest.raises(ImpossibleEvidenceError) as exc:
+            compare(affine_net(0.2, 0.9), affine_net(0.0, 0.3), spec,
+                    name_a="A-net", name_b="B-net")
+        assert str(exc.value) == (
+            "network 'B-net': impossible evidence: {B=H} at t = 0.0")
+        assert exc.value.evidence == {"B": "H"}
 
     def test_invalid_spec_names_the_network(self):
         net_a = affine_net(0.2, 0.9)

@@ -4,12 +4,14 @@ import pytest
 
 from archuncert import example_path
 from archuncert.arch import (AnnotatedArchitecture, Component,
-                             UncertaintyAnnotation, change_impact, to_network,
+                             UncertaintyAnnotation, change_impact,
+                             expected_parents, to_network,
                              validate_architecture)
 from archuncert.bn import Cpt, validate_network
 from archuncert.errors import InvalidArchitectureError, UsageError
 from archuncert.formats import parse_architecture
-from helpers import brute_force_reachable, dag_architecture, random_edge_dag
+from helpers import (brute_force_reachable, dag_architecture,
+                     random_architecture, random_edge_dag)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +37,55 @@ def minimal_unit():
                        {"L,L": 0.1, "L,H": 0.6, "H,L": 0.5, "H,H": 0.9})})
 
 
+def convention_parents(arch, comp_id):
+    """The parent-order convention, one component at a time: annotations
+    attached to it, then its non-input predecessors, in declaration order."""
+    inputs = {c.id for c in arch.components
+              if c.kind == "sensor" and c.id not in arch.cpts}
+    return (tuple(a.id for a in arch.annotations if comp_id in a.attaches_to)
+            + tuple(src for src, dst in arch.edges
+                    if dst == comp_id and src not in inputs))
+
+
 class TestToNetwork:
+    def test_compiled_parents_follow_the_convention(self):
+        rng = random.Random(0x9A2E)
+        for _ in range(200):
+            arch = random_architecture(rng)
+            # a camera feed is an input, never a parent
+            feeds = tuple(("camera", c.id) for c in arch.components
+                          if rng.random() < 0.5)
+            arch = AnnotatedArchitecture(
+                arch.name, (Component("camera", "sensor"),) + arch.components,
+                feeds + arch.edges, arch.annotations, arch.cpts)
+            net = to_network(arch)
+            for v in net.variables:
+                if v.kind == "component":
+                    assert v.parents == convention_parents(arch, v.id)
+                    assert expected_parents(arch, v.id) == v.parents
+
+    def test_expected_parents_on_unvalidated_architectures(self):
+        # duplicate attachments, dangling ids, monitors with and without CPTs
+        rng = random.Random(0x9A2F)
+        ids = ["a", "b", "c", "d", "ghost"]
+        for _ in range(300):
+            components = tuple(
+                Component(i, rng.choice(("ml", "sensor", "classical")))
+                for i in ids[:4])
+            annotations = tuple(
+                UncertaintyAnnotation(f"U{k}", "epistemic", tuple(
+                    rng.choice(ids) for _ in range(rng.randint(0, 3))))
+                for k in range(rng.randint(0, 3)))
+            edges = tuple((rng.choice(ids), rng.choice(ids))
+                          for _ in range(rng.randint(0, 8)))
+            cpts = {i: Cpt(i, (), {"": 0.5}) for i in ids[:4]
+                    if rng.random() < 0.5}
+            arch = AnnotatedArchitecture("unvalidated", components, edges,
+                                         annotations, cpts)
+            for comp_id in ids + ["U0"]:
+                assert (expected_parents(arch, comp_id)
+                        == convention_parents(arch, comp_id))
+
     def test_end_to_end_compiles_to_eight_variables(self, end_to_end):
         net = to_network(end_to_end)
         assert len(net.variables) == 8
@@ -123,6 +173,14 @@ class TestValidateArchitecture:
              "EU": Cpt("EU", (), {"": 0.5})})
         kinds = {f.kind for f in validate_architecture(arch).findings}
         assert "bad attachment" in kinds
+
+    def test_attachment_checks_the_first_of_duplicate_ids(self):
+        arch = AnnotatedArchitecture(
+            "dup", (Component("M", "ml"), Component("M", "classical")), (),
+            (UncertaintyAnnotation("EU", "epistemic", ("M",)),), {})
+        kinds = [f.kind for f in validate_architecture(arch).findings]
+        assert "duplicate id" in kinds
+        assert "bad attachment" not in kinds
 
     def test_empty_architecture(self):
         arch = AnnotatedArchitecture("empty", (), (), (), {})

@@ -125,6 +125,15 @@ class TestSweep:
         assert len(lines) == 9
         assert lines[-1].startswith("1.0,")
 
+    def test_impossible_evidence_names_the_grid_point(self, end_to_end,
+                                                      capsys):
+        # Planning=H has probability t, so only t = 0 fails
+        assert main(["sweep", end_to_end, "--target", "Planning",
+                     "--vary", "Planning@all", "--evidence", "Planning=H",
+                     "--step", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: impossible evidence: {Planning=H} at t = 0.0\n")
+
     def test_byte_identical_runs(self, end_to_end, tmp_path):
         args = ["sweep", end_to_end, "--target", "Planning",
                 "--vary", "EU@all", "--step", "0.1"]
@@ -146,6 +155,15 @@ class TestCompare:
         data = [l for l in lines if not l.startswith("#")]
         assert len(data) == 102
         assert any(l.startswith("#") for l in lines)  # crossings or none
+
+    def test_impossible_evidence_names_the_network(self, end_to_end,
+                                                   component_based, capsys):
+        assert main(["compare", component_based, end_to_end,
+                     "--target", "Planning", "--vary", "Planning@all",
+                     "--evidence", "Planning=H", "--step", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: network 'component-based': impossible evidence: "
+            "{Planning=H} at t = 0.0\n")
 
 
 class TestApplyPattern:

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archuncert import example_path
+from archuncert import example_path, formats
 from archuncert.analysis import SweepSpec, compare, sweep
 from archuncert.errors import (ArchUncertError, DataError,
                                InvalidArchitectureError, ParseError)
@@ -12,7 +13,7 @@ from archuncert.formats import (parse_architecture,
                                 parse_architecture_document,
                                 parse_calibration_csv,
                                 serialize_architecture, write_sweep_csv)
-from helpers import random_architecture, two_node_network
+from helpers import fuzz_corpus, random_architecture, two_node_network
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,84 @@ class TestRoundTrip:
             parse_architecture(text)
         except ArchUncertError:
             pass
+
+
+def _outcome(text):
+    try:
+        return parse_architecture(text)
+    except ParseError as exc:
+        return type(exc), exc.line, exc.column
+    except ArchUncertError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML is built without libyaml")
+class TestLoaders:
+    """Documents are composed with libyaml when PyYAML has it and with the
+    pure-Python loader otherwise; both must give the same outcome."""
+
+    def test_loaders_agree_on_fuzz_corpus(self, monkeypatch):
+        texts = [text for text in fuzz_corpus() if "\t" not in text]
+        outcomes = {}
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(formats, "_YAML_LOADER", loader)
+            outcomes[loader] = [_outcome(text) for text in texts]
+        differing = [(text, fast, pure) for text, fast, pure in
+                     zip(texts, outcomes[yaml.CSafeLoader],
+                         outcomes[yaml.SafeLoader]) if fast != pure]
+        assert not differing, (
+            f"{len(differing)} of {len(texts)} inputs differ; first: "
+            f"{differing[0]}")
+
+    def test_error_marks_stay_inside_the_text(self, monkeypatch):
+        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.CSafeLoader)
+        for text in fuzz_corpus():
+            try:
+                parse_architecture(text)
+            except ParseError as exc:
+                if exc.line is not None:
+                    lines = text.split("\n")  # the corpus has no other breaks
+                    end = (len(lines) - 1, len(lines[-1]))
+                    assert (exc.line, exc.column) <= end, text
+            except ArchUncertError:
+                pass
+
+    @pytest.mark.parametrize("text, position", [
+        ('name: "x"\ncomponents: [', (1, 13)),
+        ('name: "x"\ncomponents: [\n', (2, 0)),
+        ('name: "x"\ncomponents: [\n\n  ', (3, 2)),
+        ('name: "x"\r\ncomponents: [', (1, 13)),
+        ('name: "x"\rcomponents: [\r', (2, 0)),
+        ('\ufeffcomponents: {"a": 1', (0, 19)),
+    ])
+    def test_end_of_input_position(self, monkeypatch, text, position):
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(formats, "_YAML_LOADER", loader)
+            with pytest.raises(ParseError) as exc:
+                parse_architecture(text)
+            assert (exc.value.line, exc.value.column) == position, loader
+
+    def test_known_differences(self, monkeypatch):
+        # libyaml, the default here, takes a tab as the space between tokens
+        text = ('name:\t"tabs"\n'
+                'components:\n- {"id": "a", "kind": "classical"}\n'
+                'cpts:\n  "a":\n    parents: []\n    rows: {"": 0.5}\n')
+        assert parse_architecture(text).name == "tabs"
+        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.SafeLoader)
+        with pytest.raises(ParseError, match="cannot start any token") as exc:
+            parse_architecture(text)
+        assert (exc.value.line, exc.value.column) == (0, 5)
+
+        # a byte order mark opening a later line fails at different columns
+        text = 'name: "x"\n\ufeffcomponents: []\n'
+        positions = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(formats, "_YAML_LOADER", loader)
+            with pytest.raises(ParseError) as exc:
+                parse_architecture(text)
+            positions.append((exc.value.line, exc.value.column))
+        assert positions == [(1, 1), (1, 0)]
 
 
 class TestCalibrationCsv:
