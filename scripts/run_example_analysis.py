@@ -12,13 +12,14 @@ import argparse
 import pathlib
 
 from archuncert import (NVersionSpec, SweepSpec, ALL_ROWS, apply_n_version,
-                        compare, evaluate, example_path, parse_architecture,
-                        serialize_architecture, to_network, write_sweep_csv)
+                        compare, evaluate, example_path,
+                        parse_architecture_document, serialize_architecture,
+                        to_network, write_sweep_csv)
 
 
 def load(name):
     text = example_path(name).read_text(encoding="utf-8")
-    return parse_architecture(text)
+    return parse_architecture_document(text)  # to_network validates
 
 
 def main():

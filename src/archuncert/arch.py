@@ -14,6 +14,7 @@ are pure inputs and are excluded from the compiled network; a sensor
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .bn import (BayesianNetwork, Cpt, Finding, ValidationReport, Variable,
@@ -104,11 +105,8 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
                     Finding("dangling edge", end,
                             f"edge {src!r}->{dst!r} references a missing component"))
 
-    succ = {c.id: [] for c in arch.components}
-    for src, dst in arch.edges:
-        if src in succ and dst in succ:
-            succ[src].append(dst)
-    cycle = _find_cycle(sorted(by_id), lambda n: succ.get(n, ()))
+    succ = _successors(arch)
+    cycle = _find_cycle(sorted(succ), succ.get)
     if cycle is not None:
         report.findings.append(Finding("cycle", cycle[0], path=tuple(cycle)))
 
@@ -179,43 +177,49 @@ def to_network(arch: AnnotatedArchitecture) -> BayesianNetwork:
                            {v.id: arch.cpts[v.id] for v in variables})
 
 
-def change_impact(arch: AnnotatedArchitecture, component: str) -> list[str]:
-    """All components downstream of the given one via data-flow edges,
-    in topological order. Empty list: the change is isolated."""
-    arch.component(component)  # raises UsageError on unknown id
+def _successors(arch):
+    """Each component's successors in edge order; dangling edges dropped."""
     succ = {c.id: [] for c in arch.components}
     for src, dst in arch.edges:
         if src in succ and dst in succ:
             succ[src].append(dst)
+    return succ
 
-    reachable = set()
-    frontier = [component]
-    while frontier:
-        node = frontier.pop()
-        for nxt in succ.get(node, ()):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                frontier.append(nxt)
-    reachable.discard(component)
 
+def change_impact(arch: AnnotatedArchitecture, component: str) -> list[str]:
+    """All components downstream of the given one via data-flow edges,
+    in topological order. Empty list: the change is isolated. A cyclic
+    graph has no such order and raises InvalidArchitectureError."""
+    arch.component(component)  # raises UsageError on unknown id
+    succ = _successors(arch)
     order = _topological_order(arch, succ)
-    return [c for c in order if c in reachable]
+    if len(order) < len(succ):  # Kahn's algorithm never emits a cycle
+        cycle = _find_cycle(sorted(succ), succ.get)
+        raise InvalidArchitectureError(
+            [Finding("cycle", cycle[0], path=tuple(cycle))])
+    # the order puts predecessors first, so one pass marks every descendant
+    reached = {component}
+    for node in order:
+        if node in reached:
+            reached.update(succ[node])
+    return [c for c in order if c in reached and c != component]
 
 
 def _topological_order(arch, succ):
-    indeg = {c.id: 0 for c in arch.components}
-    for src, dsts in succ.items():
+    """Kahn's algorithm; the earliest declared ready component goes first."""
+    indeg = dict.fromkeys(succ, 0)
+    for dsts in succ.values():
         for dst in dsts:
             indeg[dst] += 1
     position = {c.id: i for i, c in enumerate(arch.components)}
-    ready = sorted((i for i, d in indeg.items() if d == 0), key=position.get)
+    ready = [(position[i], i) for i, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        node = ready.pop(0)
+        _, node = heapq.heappop(ready)
         order.append(node)
-        for nxt in succ.get(node, ()):
+        for nxt in succ[node]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                ready.append(nxt)
-        ready.sort(key=position.get)
+                heapq.heappush(ready, (position[nxt], nxt))
     return order

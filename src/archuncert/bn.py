@@ -9,14 +9,15 @@ Two inference routes are provided on purpose: ``marginal_brute_force``
 sums the ``joint_probability`` product over all assignments and serves as
 the oracle, ``marginal_ve`` is the production path (variable elimination).
 They must agree to 1e-12 and share one query contract. ``plan_ve`` checks
-a query and fixes its elimination order once, from the graph and the
-evidence variables; the plan then runs on any CPTs with the same
+a query and fixes its min-degree elimination order once, from the graph
+and the evidence variables; the plan then runs on any CPTs with the same
 variables, parents and rows, e.g. at every point of a sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from dataclasses import dataclass, field
 
 from .errors import ImpossibleEvidenceError, InvalidNetworkError, UsageError
@@ -354,29 +355,26 @@ def restrict(f: Factor, var: str, state: str) -> Factor:
 
 
 def _elimination_order(net, target, evidence):
-    """Greedy fewest-resulting-scope-first order, lexicographic tie-break.
-    Plans on the CPT factors' scopes with the evidence restricted away;
-    no table is built."""
+    """Min-degree order (Koller & Friedman, *Probabilistic Graphical Models*,
+    2009, §9.4.3), lowest id on ties, on the interaction graph of the CPT
+    families with the evidence restricted away; no table is built."""
+    # each set holds its own variable: its size is the resulting scope's + 1
+    graph = {v.id: {v.id} for v in net.variables if v.id not in evidence}
+    for v in net.variables:
+        family = {u for u in v.parents + (v.id,) if u not in evidence}
+        for u in family:
+            graph[u] |= family
+    remaining = set(graph) - {target}
     order = []
-    scopes = [set(v.parents + (v.id,)) - set(evidence) for v in net.variables]
-    remaining = {v.id for v in net.variables} - {target} - set(evidence)
     while remaining:
-        best = None
-        for var in sorted(remaining):
-            scope = set()
-            for s in scopes:
-                if var in s:
-                    scope.update(s)
-            scope.discard(var)
-            key = (len(scope), var)
-            if best is None or key < best[0]:
-                best = (key, var, scope)
-        _, var, scope = best
+        var = min(remaining, key=lambda u: (len(graph[u]), u))
         order.append(var)
         remaining.discard(var)
-        scopes = [s for s in scopes if var not in s]
-        if scope:
-            scopes.append(scope)
+        neighbours = graph.pop(var)
+        neighbours.discard(var)
+        for u in neighbours:
+            graph[u] |= neighbours
+            graph[u].discard(var)
     return order
 
 
@@ -390,14 +388,9 @@ def _elimination(net, target, evidence):
         # a variable stays in its own CPT factor until it is eliminated
         for var in order:
             relevant = [f for f in factors if var in f.scope]
-            product = relevant[0]
-            for f in relevant[1:]:
-                product = factor_product(product, f)
             factors = [f for f in factors if var not in f.scope]
-            factors.append(sum_out(product, var))
-        result = unit_factor()
-        for f in factors:
-            result = factor_product(result, f)
+            factors.append(sum_out(reduce(factor_product, relevant), var))
+        result = reduce(factor_product, factors, unit_factor())
         if target in evidence:  # restricted away: the table is (P(e),)
             return tuple(result.table[0] if s == evidence[target] else 0.0
                          for s in BINARY_STATES)
@@ -409,9 +402,8 @@ def plan_ve(net: BayesianNetwork, target: str,
             evidence: dict[str, str] | None = None):
     """Plan P(target | evidence) by variable elimination once, as a
     function of the CPTs. Deterministic: factors are created in variable
-    order, evidence is applied up front, and the elimination order is
-    fewest-resulting-scope-first with lexicographic tie-break, so repeated
-    runs are bit-identical."""
+    order, evidence is applied up front and the order is min-degree with a
+    lexicographic tie-break, so repeated runs are bit-identical."""
     return _plan_query(net, target, evidence, _elimination)
 
 

@@ -25,8 +25,10 @@ def _read_file(path):
                         f"(byte {exc.start}: {exc.reason})") from exc
 
 
-def _load_architecture(path):
-    return formats.parse_architecture(_read_file(path))
+def _compile(path):
+    """Read an architecture and compile it; ``to_network`` validates."""
+    architecture = formats.parse_architecture_document(_read_file(path))
+    return architecture, arch_mod.to_network(architecture)
 
 
 def _parse_evidence(pairs):
@@ -95,8 +97,7 @@ def cmd_validate(args):
 
 
 def cmd_eval(args):
-    architecture = _load_architecture(args.arch_file)
-    net = arch_mod.to_network(architecture)
+    _, net = _compile(args.arch_file)
     evidence = _parse_evidence(args.evidence)
     print(repr(analysis.evaluate(net, args.target, evidence)))
     return 0
@@ -111,18 +112,15 @@ def _sweep_spec(args):
 
 
 def cmd_sweep(args):
-    architecture = _load_architecture(args.arch_file)
-    net = arch_mod.to_network(architecture)
+    architecture, net = _compile(args.arch_file)
     result = analysis.sweep(net, _sweep_spec(args), architecture.name)
     _write_output(formats.write_sweep_csv(result), args.output)
     return 0
 
 
 def cmd_compare(args):
-    arch_a = _load_architecture(args.arch_file_a)
-    arch_b = _load_architecture(args.arch_file_b)
-    net_a = arch_mod.to_network(arch_a)
-    net_b = arch_mod.to_network(arch_b)
+    arch_a, net_a = _compile(args.arch_file_a)
+    arch_b, net_b = _compile(args.arch_file_b)
     result = analysis.compare(net_a, net_b, _sweep_spec(args),
                               arch_a.name, arch_b.name)
     _write_output(formats.write_sweep_csv(result), args.output)
@@ -130,7 +128,7 @@ def cmd_compare(args):
 
 
 def cmd_apply_pattern(args):
-    architecture = _load_architecture(args.arch_file)
+    architecture = formats.parse_architecture(_read_file(args.arch_file))
     spec = patterns.NVersionSpec(
         target=args.component,
         monitor_id=args.monitor,
@@ -191,7 +189,7 @@ def _print_cpt_block(var_id, parents, prior, rows):
 
 
 def cmd_impact(args):
-    architecture = _load_architecture(args.arch_file)
+    architecture = formats.parse_architecture(_read_file(args.arch_file))
     for comp in arch_mod.change_impact(architecture, args.change):
         print(comp)
     return 0

@@ -154,3 +154,59 @@ def fuzz_corpus():
             text = rng.choice(documents)[:rng.randrange(400)]
         corpus.append(text)
     return corpus
+
+
+def reference_elimination_order(net, target, evidence):
+    """The greedy order as first written: for every candidate at every step,
+    union the scopes that contain it and take the smallest result, lowest id
+    on ties. Cubic, kept as the reference for ``bn._elimination_order``."""
+    order = []
+    scopes = [set(v.parents + (v.id,)) - set(evidence) for v in net.variables]
+    remaining = {v.id for v in net.variables} - {target} - set(evidence)
+    while remaining:
+        best = None
+        for var in sorted(remaining):
+            scope = set()
+            for s in scopes:
+                if var in s:
+                    scope.update(s)
+            scope.discard(var)
+            key = (len(scope), var)
+            if best is None or key < best[0]:
+                best = (key, var, scope)
+        _, var, scope = best
+        order.append(var)
+        remaining.discard(var)
+        scopes = [s for s in scopes if var not in s]
+        if scope:
+            scopes.append(scope)
+    return order
+
+
+def reference_change_impact(arch, component):
+    """``change_impact`` as first written: successors, reachability, and
+    Kahn's algorithm re-sorting the ready list by declaration position on
+    every pop. The reference for the heap-ordered version."""
+    succ = {c.id: [] for c in arch.components}
+    for src, dst in arch.edges:
+        if src in succ and dst in succ:
+            succ[src].append(dst)
+    reachable = brute_force_reachable(
+        [(s, d) for s, ds in succ.items() for d in ds], component)
+
+    indeg = {c.id: 0 for c in arch.components}
+    for dsts in succ.values():
+        for dst in dsts:
+            indeg[dst] += 1
+    position = {c.id: i for i, c in enumerate(arch.components)}
+    ready = sorted((i for i, d in indeg.items() if d == 0), key=position.get)
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for nxt in succ[node]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+        ready.sort(key=position.get)
+    return [c for c in order if c in reachable]

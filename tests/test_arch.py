@@ -11,7 +11,8 @@ from archuncert.bn import Cpt, validate_network
 from archuncert.errors import InvalidArchitectureError, UsageError
 from archuncert.formats import parse_architecture
 from helpers import (brute_force_reachable, dag_architecture,
-                     random_architecture, random_edge_dag)
+                     random_architecture, random_edge_dag,
+                     reference_change_impact)
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +217,28 @@ class TestChangeImpact:
             for src, dst in edges:
                 if src in index and dst in index:
                     assert index[src] < index[dst]
+
+    def test_matches_sort_per_pop_order_on_random_dags(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            ids, edges = random_edge_dag(rng, n_max=15)
+            edges += [(rng.choice(ids), "ghost"), ("ghost", rng.choice(ids))]
+            arch = dag_architecture(ids, edges)
+            components = list(arch.components)
+            components += rng.sample(components, rng.randint(0, 2))
+            rng.shuffle(components)  # not topological, with duplicate ids
+            arch = AnnotatedArchitecture(arch.name, tuple(components),
+                                         arch.edges, (), {})
+            start = rng.choice(ids)
+            assert (change_impact(arch, start)
+                    == reference_change_impact(arch, start))
+
+    def test_cycle_raises_with_the_validation_finding(self):
+        arch = dag_architecture(["A", "B", "C"],
+                                [("A", "B"), ("B", "C"), ("C", "B")])
+        with pytest.raises(InvalidArchitectureError) as exc:
+            change_impact(arch, "A")
+        cycles = [f for f in validate_architecture(arch).findings
+                  if f.kind == "cycle"]
+        assert exc.value.findings == cycles
+        assert cycles[0].path == ("B", "C", "B")

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archuncert.bn import (BayesianNetwork, Cpt, Factor, Variable,
-                           factor_product, joint_probability,
+                           _elimination_order, factor_product,
+                           joint_probability,
                            marginal_brute_force, marginal_ve, row_keys,
                            sum_out, unit_factor, validate_network)
 from archuncert.errors import (ImpossibleEvidenceError, InvalidNetworkError,
                                UsageError)
-from helpers import random_network, random_query, two_node_network
+from helpers import (random_network, random_query,
+                     reference_elimination_order, two_node_network)
 
 # both inference routes answer through the same query contract
 ROUTES = (marginal_ve, marginal_brute_force)
@@ -273,3 +275,50 @@ class TestVariableElimination:
                 marginal(two_node_network(), "A", {"Z": "H"})
             with pytest.raises(UsageError, match="state must be"):
                 marginal(two_node_network(), "A", {"B": "X"})
+
+
+def _structure(families):
+    return BayesianNetwork(
+        tuple(Variable(v, "component", parents) for v, parents in families),
+        {})
+
+
+class TestEliminationOrder:
+    CHAIN = _structure([("A", ()), ("B", ("A",)), ("C", ("B",)),
+                        ("D", ("C",)), ("E", ("D",))])
+    # c joins p1, p2 and p3; d hangs off c
+    STAR = _structure([("p1", ()), ("p2", ()), ("p3", ()),
+                       ("c", ("p1", "p2", "p3")), ("d", ("c",))])
+
+    @pytest.mark.parametrize("target, evidence, order", [
+        ("E", {}, ["A", "B", "C", "D"]),
+        ("A", {}, ["E", "D", "C", "B"]),
+        ("C", {"A": "H"}, ["B", "E", "D"]),
+        ("C", {"C": "L"}, ["A", "B", "D", "E"]),
+    ])
+    def test_chain(self, target, evidence, order):
+        assert _elimination_order(self.CHAIN, target, evidence) == order
+
+    @pytest.mark.parametrize("target, evidence, order", [
+        ("p1", {}, ["d", "c", "p2", "p3"]),  # c and p2 tie on degree 3
+        ("d", {}, ["p1", "p2", "p3", "c"]),
+        ("p1", {"c": "H"}, ["d", "p2", "p3"]),
+    ])
+    def test_star(self, target, evidence, order):
+        assert _elimination_order(self.STAR, target, evidence) == order
+
+    def test_matches_scope_rescan_on_random_networks(self):
+        rng = random.Random(2024)
+        for _ in range(1200):
+            net = random_network(rng, n_min=1, n_max=16,
+                                 max_parents=rng.randint(1, 4))
+            variables = list(net.variables)
+            rng.shuffle(variables)  # declaration order need not be topological
+            net = BayesianNetwork(tuple(variables), net.cpts)
+            ids = [v.id for v in variables]
+            target = rng.choice(ids)
+            # evidence may include the target
+            evidence = {v: rng.choice("LH") for v in
+                        rng.sample(ids, rng.randint(0, min(3, len(ids))))}
+            assert (_elimination_order(net, target, evidence)
+                    == reference_elimination_order(net, target, evidence))

@@ -1,10 +1,12 @@
 import json
+import pathlib
 import shutil
 
 import pytest
 
 from archuncert import (compute_threshold, estimate_conditional, example_path,
                         parse_architecture_document, parse_calibration_csv)
+from archuncert import arch, formats, patterns
 from archuncert.cli import main
 
 
@@ -165,6 +167,17 @@ class TestCompare:
             "error: network 'component-based': impossible evidence: "
             "{Planning=H} at t = 0.0\n")
 
+    def test_invalid_first_file_is_reported_before_the_second_is_read(
+            self, end_to_end, tmp_path, capsys):
+        invalid = tmp_path / "invalid.arch"
+        invalid.write_text(pathlib.Path(end_to_end).read_text().replace(
+            '{"from": "SS", "to": "Planning"}',
+            '{"from": "Planning", "to": "OD"}'))
+        assert main(["compare", str(invalid), str(tmp_path / "missing.arch"),
+                     "--target", "Planning", "--vary", "DE@all"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid architecture: ")
+
 
 class TestApplyPattern:
     def test_transform_and_reload(self, end_to_end, tmp_path, capsys):
@@ -258,3 +271,39 @@ class TestUsage:
                 main([cmd, "--help"])
             assert exc.value.code == 0
             assert "usage" in capsys.readouterr().out
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        validate = arch.validate_architecture
+
+        def counting(architecture):
+            calls.append(architecture.name)
+            return validate(architecture)
+
+        for module in (arch, formats, patterns):
+            monkeypatch.setattr(module, "validate_architecture", counting)
+        return calls
+
+    SWEEP = ["--target", "Planning", "--vary", "DE@all", "-o", "-"]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["validate", "{a}"], ["end-to-end"]),
+        (["eval", "{a}", "--target", "Planning"], ["end-to-end"]),
+        (["sweep", "{a}"] + SWEEP, ["end-to-end"]),
+        (["compare", "{a}", "{b}"] + SWEEP,
+         ["end-to-end", "component-based"]),
+        (["impact", "{a}", "--change", "DE"], ["end-to-end"]),
+        # the document is checked before --weight; apply_n_version checks
+        # its own input again
+        (["apply-pattern", "n-version", "{a}", "--component", "DE",
+          "--monitor", "lidar", "--monitor-p-high", "0.1", "--weight", "0.9",
+          "-o", "-"], ["end-to-end", "end-to-end"]),
+    ], ids=["validate", "eval", "sweep", "compare", "impact", "apply-pattern"])
+    def test_each_file_is_validated_once(self, argv, expected, calls,
+                                         end_to_end, component_based):
+        argv = [a.format(a=end_to_end, b=component_based) for a in argv]
+        assert main(argv) == 0
+        assert calls == expected
