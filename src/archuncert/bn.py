@@ -11,13 +11,16 @@ the oracle, ``marginal_ve`` is the production path (variable elimination).
 They must agree to 1e-12 and share one query contract. ``plan_ve`` checks
 a query and fixes its min-degree elimination order once, from the graph
 and the evidence variables; the plan then runs on any CPTs with the same
-variables, parents and rows, e.g. at every point of a sweep.
+variables, parents and rows, e.g. at every point of a sweep. A run is
+bucket elimination along that order, and rescales a product by an exact
+power of two whenever its largest entry drops below 2^-500, so that long
+evidence chains cannot underflow.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+import math
 from dataclasses import dataclass, field
 
 from .errors import ImpossibleEvidenceError, InvalidNetworkError, UsageError
@@ -237,7 +240,8 @@ def joint_probability(net: BayesianNetwork, assignment: dict[str, str]) -> float
 def _plan_query(net, target, evidence, plan_joint):
     """The query contract of both routes: check the network and the query
     once, then map CPTs to P(target | evidence) by normalizing the
-    (P(target=L, e), P(target=H, e)) that ``plan_joint`` plans."""
+    (P(target=L, e), P(target=H, e)) that ``plan_joint`` plans, returned as
+    a pair and an int exponent e that scales it by 2^e."""
     validate_network(net).raise_unless_ok(InvalidNetworkError)
     evidence = dict(evidence or {})
     ids = {v.id for v in net.variables}
@@ -252,7 +256,7 @@ def _plan_query(net, target, evidence, plan_joint):
     joint = plan_joint(net, target, evidence)
 
     def marginal(cpts):
-        low, high = joint(cpts)
+        (low, high), _ = joint(cpts)
         normalizer = low + high
         if normalizer <= 0.0:
             raise ImpossibleEvidenceError(evidence)
@@ -269,7 +273,7 @@ def _enumeration(net, target, evidence):
             if all(assignment[v] == s for v, s in evidence.items()):
                 totals[assignment[target]] += _joint(
                     net.variables, cpts, assignment)
-        return totals[LOW], totals[HIGH]
+        return (totals[LOW], totals[HIGH]), 0
     return joint
 
 
@@ -313,10 +317,6 @@ def _index_map(scope, other):
     return index
 
 
-def unit_factor() -> Factor:
-    return Factor(scope=(), table=(1.0,))
-
-
 def factor_from_cpt(cpt: Cpt) -> Factor:
     table = []
     for key in cpt.expected_keys():  # parent assignments in mask order
@@ -354,6 +354,22 @@ def restrict(f: Factor, var: str, state: str) -> Factor:
                                for i in _index_map(scope, f.scope)))
 
 
+def _product(factors, exponent):
+    """Multiply ``factors`` left to right. A product whose largest entry is
+    positive but below 2^-500 is scaled up by 2^-e, exactly, and e added to
+    ``exponent``, so that long products of small numbers cannot underflow."""
+    result = factors[0]
+    for f in factors[1:]:
+        result = factor_product(result, f)
+        top = max(result.table)
+        if 0.0 < top < 2.0 ** -500:
+            e = math.frexp(top)[1]
+            exponent += e
+            result = Factor(result.scope,
+                            tuple(math.ldexp(x, -e) for x in result.table))
+    return result, exponent
+
+
 def _elimination_order(net, target, evidence):
     """Min-degree order (Koller & Friedman, *Probabilistic Graphical Models*,
     2009, §9.4.3), lowest id on ties, on the interaction graph of the CPT
@@ -380,30 +396,44 @@ def _elimination_order(net, target, evidence):
 
 def _elimination(net, target, evidence):
     order = _elimination_order(net, target, evidence)
+    # bucket elimination (Dechter, Artif. Intell. 1999): each factor waits in
+    # the bucket of its first variable; scalars join the target's, the last
+    bucket_of = {var: i for i, var in enumerate(order + [target])}
+
+    def first(scope):
+        return min(map(bucket_of.get, scope), default=-1)
+    # each CPT factor's observed variables and bucket depend on the graph only
+    cpt_plan = [(v.id, [u for u in evidence if u in family],
+                 first(u for u in family if u not in evidence))
+                for v in net.variables for family in [v.parents + (v.id,)]]
 
     def joint(cpts):
-        factors = [factor_from_cpt(cpts[v.id]) for v in net.variables]
-        for var, state in evidence.items():
-            factors = [restrict(f, var, state) for f in factors]
-        # a variable stays in its own CPT factor until it is eliminated
-        for var in order:
-            relevant = [f for f in factors if var in f.scope]
-            factors = [f for f in factors if var not in f.scope]
-            factors.append(sum_out(reduce(factor_product, relevant), var))
-        result = reduce(factor_product, factors, unit_factor())
+        buckets = [[] for _ in bucket_of]
+        for var_id, observed, i in cpt_plan:
+            f = factor_from_cpt(cpts[var_id])
+            for var in observed:
+                f = restrict(f, var, evidence[var])
+            buckets[i].append(f)
+        exponent = 0
+        for var, bucket in zip(order, buckets):
+            product, exponent = _product(bucket, exponent)
+            f = sum_out(product, var)
+            buckets[first(f.scope)].append(f)
+        result, exponent = _product(buckets[-1], exponent)
         if target in evidence:  # restricted away: the table is (P(e),)
             return tuple(result.table[0] if s == evidence[target] else 0.0
-                         for s in BINARY_STATES)
-        return result.table
+                         for s in BINARY_STATES), exponent
+        return result.table, exponent
     return joint
 
 
 def plan_ve(net: BayesianNetwork, target: str,
             evidence: dict[str, str] | None = None):
     """Plan P(target | evidence) by variable elimination once, as a
-    function of the CPTs. Deterministic: factors are created in variable
-    order, evidence is applied up front and the order is min-degree with a
-    lexicographic tie-break, so repeated runs are bit-identical."""
+    function of the CPTs. Deterministic: the order is min-degree with a
+    lexicographic tie-break, each run builds and restricts the CPT factors
+    in variable order, and each bucket is multiplied in the order its
+    factors arrived, so repeated runs are bit-identical."""
     return _plan_query(net, target, evidence, _elimination)
 
 

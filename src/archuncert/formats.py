@@ -5,10 +5,13 @@ goes through the YAML node tree (not plain safe_load) so every schema
 violation can point at a line and column. The tree is composed by libyaml
 (``yaml.CSafeLoader``) when PyYAML is built with it, else by PyYAML's
 pure-Python ``SafeLoader``. Both accept the same documents and report
-errors at the same line and column, with two known exceptions: libyaml
+errors at the same line and column, with three known exceptions: libyaml
 takes a tab as the space between tokens, which the pure-Python loader
-rejects, and a byte order mark that opens a line after the first is an
-error under both, one column apart.
+rejects; a byte order mark that opens a line after the first is an error
+under both, one column apart; and nesting is refused past MAX_DEPTH levels
+under libyaml, whose composer would crash the process, but past a few
+hundred under the pure-Python loader, whose composer hits the recursion
+limit.
 
 Serialization is hand-rolled: fixed key order, declaration-order lists,
 shortest-round-trip floats, all strings double-quoted as JSON —
@@ -38,6 +41,10 @@ TOP_LEVEL_KEYS = ("name", "components", "edges", "uncertainties", "cpts")
 # libyaml composes the bundled examples about 18 times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")  # as YAML counts lines
+# libyaml's composer recurses in C, once per level; each level opens with
+# one of _OPENERS, so a text with at most MAX_DEPTH of them needs no check
+MAX_DEPTH = 10_000
+_OPENERS = "[{-?:"
 
 DOCUMENT_HEADER = (
     '# Annotated architecture document.\n'
@@ -64,6 +71,30 @@ def _error_position(text, mark):
         start = brk.end()
     end = (line, len(text) - start - text.count("\ufeff", start))
     return min((mark.line, mark.column), end)
+
+
+def _check_depth(text):
+    """Refuse nesting deeper than MAX_DEPTH before libyaml composes it,
+    counting over the events of its parser, which does not recurse. A YAML
+    error ends the scan: the composer reports it, or an earlier one, before
+    it nests deeper. The pure-Python composer stops a few hundred levels
+    deep with a RecursionError, and its scanner is quadratic in flow depth,
+    so its texts are not scanned."""
+    if (_YAML_LOADER is yaml.SafeLoader
+            or sum(map(text.count, _OPENERS)) <= MAX_DEPTH):
+        return
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=_YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                                     *_loc(event))
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except yaml.YAMLError:
+        pass
 
 
 def _as_mapping(node, what):
@@ -118,6 +149,7 @@ def _fields(node, what, required, optional=()):
 
 def parse_architecture_document(text: str) -> AnnotatedArchitecture:
     """Syntax and schema only; semantic checks live in validate_architecture."""
+    _check_depth(text)
     try:
         root = yaml.compose(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -126,6 +158,9 @@ def parse_architecture_document(text: str) -> AnnotatedArchitecture:
             raise ParseError(str(getattr(exc, "problem", exc)),
                              *_error_position(text, mark)) from exc
         raise ParseError(str(exc)) from exc
+    except RecursionError:  # the pure-Python composer, a few hundred deep
+        raise ParseError("nesting too deep for the pure-Python YAML loader"
+                         ) from None
     if root is None:
         raise ParseError("empty document", 0, 0)
 

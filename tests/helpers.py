@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
 
 from archuncert.arch import (AnnotatedArchitecture, Component,
                              UncertaintyAnnotation)
-from archuncert.bn import BayesianNetwork, Cpt, Variable, row_key
+from archuncert.bn import (BINARY_STATES, BayesianNetwork, Cpt, Factor,
+                           Variable, factor_from_cpt, factor_product,
+                           restrict, row_key, sum_out)
 
 
 def two_node_network():
@@ -210,3 +213,22 @@ def reference_change_impact(arch, component):
                 ready.append(nxt)
         ready.sort(key=position.get)
     return [c for c in order if c in reachable]
+
+
+def reference_elimination_joint(net, target, evidence, order, cpts):
+    """The run of ``bn._elimination`` as first written: restrict every
+    factor on every evidence variable, then at each step of ``order``
+    collect the factors that hold the variable by scanning the whole list.
+    Quadratic, kept as the reference for the bucket run."""
+    factors = [factor_from_cpt(cpts[v.id]) for v in net.variables]
+    for var, state in evidence.items():
+        factors = [restrict(f, var, state) for f in factors]
+    for var in order:
+        relevant = [f for f in factors if var in f.scope]
+        factors = [f for f in factors if var not in f.scope]
+        factors.append(sum_out(reduce(factor_product, relevant), var))
+    result = reduce(factor_product, factors, Factor((), (1.0,)))
+    if target in evidence:
+        return tuple(result.table[0] if s == evidence[target] else 0.0
+                     for s in BINARY_STATES)
+    return result.table

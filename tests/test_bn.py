@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archuncert.bn import (BayesianNetwork, Cpt, Factor, Variable,
-                           _elimination_order, factor_product,
+                           _elimination, _elimination_order, factor_product,
                            joint_probability,
                            marginal_brute_force, marginal_ve, row_keys,
-                           sum_out, unit_factor, validate_network)
+                           sum_out, validate_network)
 from archuncert.errors import (ImpossibleEvidenceError, InvalidNetworkError,
                                UsageError)
 from helpers import (random_network, random_query,
-                     reference_elimination_order, two_node_network)
+                     reference_elimination_joint, reference_elimination_order,
+                     two_node_network)
 
 # both inference routes answer through the same query contract
 ROUTES = (marginal_ve, marginal_brute_force)
@@ -87,6 +88,16 @@ class TestValidation:
         kinds = {f.kind for f in validate_network(net).findings}
         assert {"duplicate id", "dangling parent", "extra CPT row",
                 "probability out of range"} <= kinds
+
+    def test_root_kind_with_parents(self):
+        net = BayesianNetwork(
+            variables=(Variable("A", "component", ()),
+                       Variable("E", "epistemic", ("A",))),
+            cpts={"A": Cpt("A", (), {"": 0.5}),
+                  "E": Cpt("E", ("A",), {"L": 0.5, "H": 0.5})})
+        assert [str(f) for f in validate_network(net).findings] == [
+            "root kind with parents variable=E "
+            "kind 'epistemic' variables must be roots"]
 
     def test_inference_refuses_invalid_network(self):
         net = BayesianNetwork(
@@ -181,11 +192,6 @@ class TestFactorAlgebra:
         product = factor_product(self.f_a(), self.f_a2())
         assert product.table == (0.7 * 0.2, 0.3 * 0.9)
 
-    def test_unit_factor_is_identity(self):
-        f = self.f_a()
-        assert factor_product(f, unit_factor()).table == f.table
-        assert factor_product(unit_factor(), f).table == f.table
-
     def test_outer_product(self):
         product = factor_product(self.f_a(), self.f_b())
         assert product.scope == ("A", "B")
@@ -259,6 +265,25 @@ class TestVariableElimination:
             assert abs(dist[state] - oracle[state]) <= 1e-12
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
 
+    def test_long_evidence_chain_does_not_underflow(self):
+        # P(e) is about 2^-1200, below the smallest double
+        rng = random.Random(1200)
+        ids = [f"v{i}" for i in range(1200)]
+        variables, cpts = [], {}
+        for i, var in enumerate(ids):
+            parents = (ids[i - 1],) if i else ()
+            rows = {key: rng.uniform(0.3, 0.7) for key in row_keys(parents)}
+            variables.append(Variable(var, "component", parents))
+            cpts[var] = Cpt(var, parents, rows)
+        net = BayesianNetwork(tuple(variables), cpts)
+        evidence = {var: "H" for var in ids if var != "v600"}
+        # v600's Markov blanket is v599 and v601, both H
+        a = cpts["v600"].rows["H"]
+        b, c = cpts["v601"].rows["H"], cpts["v601"].rows["L"]
+        expected = a * b / (a * b + (1.0 - a) * c)
+        dist = marginal_ve(net, "v600", evidence)
+        assert abs(dist["H"] - expected) <= 1e-12
+
     def test_deterministic_repeat(self):
         rng = random.Random(123)
         net = random_network(rng, n_min=6, n_max=10)
@@ -322,3 +347,31 @@ class TestEliminationOrder:
                         rng.sample(ids, rng.randint(0, min(3, len(ids))))}
             assert (_elimination_order(net, target, evidence)
                     == reference_elimination_order(net, target, evidence))
+
+
+class TestBucketRun:
+    def test_equals_list_scan_run_on_random_networks(self):
+        rng = random.Random(808)
+        on_target = 0
+        for _ in range(1000):
+            net = random_network(rng, n_min=1, n_max=12,
+                                 max_parents=rng.randint(1, 4))
+            variables = list(net.variables)
+            rng.shuffle(variables)  # declaration order need not be topological
+            # some deterministic rows, so some tables hold exact zeros
+            cpts = {var: Cpt(var, cpt.parents,
+                             {key: rng.choice((0.0, 1.0))
+                              if rng.random() < 0.2 else p
+                              for key, p in cpt.rows.items()})
+                    for var, cpt in net.cpts.items()}
+            net = BayesianNetwork(tuple(variables), cpts)
+            ids = [v.id for v in variables]
+            target = rng.choice(ids)
+            evidence = {v: rng.choice("LH") for v in
+                        rng.sample(ids, rng.randint(0, min(4, len(ids))))}
+            on_target += target in evidence
+            order = _elimination_order(net, target, evidence)
+            assert (_elimination(net, target, evidence)(cpts)
+                    == (reference_elimination_joint(net, target, evidence,
+                                                    order, cpts), 0))
+        assert on_target >= 100

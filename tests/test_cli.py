@@ -63,6 +63,35 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "error" in capsys.readouterr().out
 
+    def test_findings_json(self, tmp_path, capsys):
+        path = tmp_path / "duplicate.arch"
+        path.write_text('name: "x"\ncomponents:\n'
+                        '- {"id": "a", "kind": "classical"}\n'
+                        '- {"id": "a", "kind": "classical"}\n')
+        assert main(["validate", str(path), "--format", "json"]) == 1
+        missing = {"kind": "missing CPT", "variable": "a",
+                   "detail": "expected rows ['']", "path": []}
+        assert json.loads(capsys.readouterr().out) == {
+            "ok": False,
+            "findings": [{"kind": "duplicate id", "variable": "a",
+                          "detail": "", "path": []}, missing, missing]}
+
+    def test_parse_error_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.arch"
+        path.write_text('name: "x"\ncomponents: [\n')
+        assert main(["validate", str(path), "--format", "json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"ok": false, "error": "line 3, column 1: '
+            'did not find expected node content"}\n')
+
+    def test_unreadable_path_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.arch")
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: cannot read {path}: [Errno 2] "
+                f"No such file or directory: {path!r}\n")
+
 
 class TestEval:
     def test_prints_probability(self, end_to_end, capsys):
@@ -77,6 +106,12 @@ class TestEval:
 
     def test_unknown_target_exits_2(self, end_to_end):
         assert main(["eval", end_to_end, "--target", "nope"]) == 2
+
+    def test_duplicate_evidence_exits_2(self, end_to_end, capsys):
+        assert main(["eval", end_to_end, "--target", "Planning",
+                     "--evidence", "DE=H", "--evidence", "DE=L"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --evidence 'DE=L': duplicate variable\n")
 
     def test_deterministic_output(self, end_to_end, capsys):
         main(["eval", end_to_end, "--target", "Planning"])
@@ -109,6 +144,12 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write")
         assert "Traceback" not in err
+
+    def test_vary_without_variable_exits_2(self, end_to_end, capsys):
+        assert main(["sweep", end_to_end, "--target", "Planning",
+                     "--vary", "@H"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --vary '@H': missing variable id\n")
 
     @pytest.mark.parametrize("step", ["nan", "inf", "-0.1", "1e10", "1e-9"])
     def test_bad_step_exits_2(self, end_to_end, capsys, step):
@@ -225,6 +266,44 @@ class TestCalibrate:
         rows = estimate_conditional(
             records, compute_threshold(records).value, ("EU",))
         assert cpt.rows == {key: row.p_high for key, row in rows.items()}
+
+    def test_no_misclassified_sample_emits_a_root_block(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "all-correct.csv"
+        path.write_text("sample_id,uncertainty,correct\n"
+                        "s1,0.2,true\ns2,0.7,true\ns3,0.9,true\n")
+        assert main(["calibrate", str(path), "--emit-cpt", "DE"]) == 0
+        assert capsys.readouterr().out == (
+            "threshold: +inf (no misclassified samples)\n"
+            "p_high: 0.0 (0/3)\n"
+            "cpts:\n"
+            '  "DE":\n'
+            "    parents: []\n"
+            "    rows:\n"
+            '      "": 0.0\n')
+
+    def test_emit_cpt_names_unestimated_rows(self, tmp_path, capsys):
+        path = tmp_path / "gaps.csv"
+        path.write_text("sample_id,uncertainty,correct,EU,SU\n"
+                        "s1,0.2,true,L,L\ns2,0.7,false,L,H\n"
+                        "s3,0.9,false,H,H\n")
+        assert main(["calibrate", str(path), "--emit-cpt", "DE"]) == 0
+        assert capsys.readouterr().out == (
+            "threshold: 0.7\n"
+            "p_high: 0.6666666666666666 (2/3)\n"
+            "p_high[H,H]: 1.0 (1/1)\n"
+            "p_high[H,L]: 0.5 (0/0)  [unestimated, defaulted]\n"
+            "p_high[L,H]: 1.0 (1/1)\n"
+            "p_high[L,L]: 0.0 (0/1)\n"
+            "cpts:\n"
+            '  "DE":\n'
+            '    parents: ["EU", "SU"]\n'
+            "    rows:\n"
+            '      "L,L": 0.0\n'
+            '      "L,H": 1.0\n'
+            '      "H,L": 0.5\n'
+            '      "H,H": 1.0\n'
+            '# unestimated rows defaulted to 0.5: "H,L"\n')
 
     def test_data_error_exits_1(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -103,6 +107,18 @@ class TestRoundTrip:
             pass
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# ``archuncert validate PATH`` with the loader named by the first argument
+VALIDATE_WITH_LOADER = """
+import sys, yaml
+from archuncert import formats
+from archuncert.cli import main
+formats._YAML_LOADER = getattr(yaml, sys.argv[1])
+raise SystemExit(main(["validate", sys.argv[2]]))
+"""
+
+
 def _outcome(text):
     try:
         return parse_architecture(text)
@@ -159,6 +175,40 @@ class TestLoaders:
                 parse_architecture(text)
             assert (exc.value.line, exc.value.column) == position, loader
 
+    @pytest.mark.parametrize("loader, message", [
+        ("CSafeLoader", "line 1, column {column}: "
+                        "nesting deeper than 10000 levels"),
+        ("SafeLoader", "nesting too deep for the pure-Python YAML loader"),
+    ], ids=["libyaml", "pure-Python"])
+    @pytest.mark.parametrize("text, column", [
+        ("name: " + "[" * 100_000 + "]" * 100_000 + "\n", 10_006),
+        ("- " * 100_000 + "x\n", 20_001),
+    ], ids=["flow", "block"])
+    def test_deep_nesting_exits_1(self, tmp_path, loader, message, text,
+                                  column):
+        # a crash in libyaml's composer would take pytest down with it
+        path = tmp_path / "deep.arch"
+        path.write_text(text, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", VALIDATE_WITH_LOADER, loader, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, f"parse error: {message.format(column=column)}\n", "")
+
+    def test_depth_limit(self, monkeypatch):
+        # MAX_DEPTH levels (the root mapping is one) compose; one more
+        # fails at its opening bracket
+        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.CSafeLoader)
+
+        def nested(brackets):
+            return "name: " + "[" * brackets + "]" * brackets + "\n"
+        with pytest.raises(ParseError, match="missing key 'components'"):
+            parse_architecture(nested(formats.MAX_DEPTH - 1))
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse_architecture(nested(formats.MAX_DEPTH))
+        assert (exc.value.line, exc.value.column) == (0, len("name: ") + 9_999)
+
     def test_known_differences(self, monkeypatch):
         # libyaml, the default here, takes a tab as the space between tokens
         text = ('name:\t"tabs"\n'
@@ -179,6 +229,17 @@ class TestLoaders:
                 parse_architecture(text)
             positions.append((exc.value.line, exc.value.column))
         assert positions == [(1, 1), (1, 0)]
+
+        # nesting below MAX_DEPTH but past the pure-Python composer's
+        # recursion limit composes only under libyaml
+        text = "name: " + "[" * 1000 + "]" * 1000 + "\n"
+        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.CSafeLoader)
+        with pytest.raises(ParseError, match="missing key 'components'"):
+            parse_architecture(text)
+        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.SafeLoader)
+        with pytest.raises(ParseError, match="nesting too deep for the "
+                                             "pure-Python YAML loader"):
+            parse_architecture(text)
 
 
 class TestCalibrationCsv:
