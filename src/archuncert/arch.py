@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .bn import (BayesianNetwork, Cpt, Finding, ValidationReport, Variable,
-                 _find_cycle, check_cpts)
+                 _duplicate_ids, _find_cycle, check_cpts)
 from .errors import InvalidArchitectureError, UsageError
 
 COMPONENT_KINDS = ("ml", "classical", "sensor", "voter")
@@ -84,11 +84,8 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
         report.findings.append(
             Finding("no components", detail="architecture has no components"))
 
-    seen = set()
-    for item in list(arch.components) + list(arch.annotations):
-        if item.id in seen:
-            report.findings.append(Finding("duplicate id", item.id))
-        seen.add(item.id)
+    report.findings.extend(_duplicate_ids(
+        item.id for item in [*arch.components, *arch.annotations]))
 
     by_id = {}
     for c in arch.components:
@@ -105,10 +102,9 @@ def validate_architecture(arch: AnnotatedArchitecture) -> ValidationReport:
                     Finding("dangling edge", end,
                             f"edge {src!r}->{dst!r} references a missing component"))
 
-    succ = _successors(arch)
-    cycle = _find_cycle(sorted(succ), succ.get)
+    cycle = _find_cycle(_successors(arch))
     if cycle is not None:
-        report.findings.append(Finding("cycle", cycle[0], path=tuple(cycle)))
+        report.findings.append(cycle)
 
     for a in arch.annotations:
         if a.kind not in ANNOTATION_KINDS:
@@ -194,9 +190,7 @@ def change_impact(arch: AnnotatedArchitecture, component: str) -> list[str]:
     succ = _successors(arch)
     order = _topological_order(arch, succ)
     if len(order) < len(succ):  # Kahn's algorithm never emits a cycle
-        cycle = _find_cycle(sorted(succ), succ.get)
-        raise InvalidArchitectureError(
-            [Finding("cycle", cycle[0], path=tuple(cycle))])
+        raise InvalidArchitectureError([_find_cycle(succ)])
     # the order puts predecessors first, so one pass marks every descendant
     reached = {component}
     for node in order:

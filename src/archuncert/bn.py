@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ImpossibleEvidenceError, InvalidNetworkError, UsageError
@@ -116,28 +117,38 @@ class ValidationReport:
             raise error(self.findings)
 
 
-def _find_cycle(ids, parents_of):
-    """Return one cycle as a vertex sequence [a, ..., a], or None.
+def _duplicate_ids(ids):
+    """A ``duplicate id`` finding for each repeat of an id, in order."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            yield Finding("duplicate id", i)
+        seen.add(i)
 
-    Depth-first search with an explicit stack, so graph depth is not bounded
-    by the interpreter's recursion limit."""
+
+def _find_cycle(graph):
+    """The ``cycle`` finding, path [a, ..., a], of one cycle in ``graph``
+    (vertex -> neighbours, roots tried in sorted order), or None. Depth-first
+    search with an explicit stack, so graph depth is not bounded by the
+    interpreter's recursion limit."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in ids}
-    for root in ids:
+    color = dict.fromkeys(graph, WHITE)
+    for root in sorted(graph):
         if color[root] != WHITE:
             continue
         color[root] = GREY
         path = [root]
-        # per node on the path, its parents not yet examined
-        pending = [iter(parents_of(root))]
+        # per node on the path, its neighbours not yet examined
+        pending = [iter(graph[root])]
         while pending:
-            for parent in pending[-1]:
-                if color.get(parent) == GREY:
-                    return path[path.index(parent):] + [parent]
-                if color.get(parent) == WHITE:
-                    color[parent] = GREY
-                    path.append(parent)
-                    pending.append(iter(parents_of(parent)))
+            for node in pending[-1]:
+                if color.get(node) == GREY:
+                    cycle = path[path.index(node):] + [node]
+                    return Finding("cycle", node, path=tuple(cycle))
+                if color.get(node) == WHITE:
+                    color[node] = GREY
+                    path.append(node)
+                    pending.append(iter(graph[node]))
                     break
             else:
                 color[path.pop()] = BLACK
@@ -146,11 +157,17 @@ def _find_cycle(ids, parents_of):
 
 
 def check_cpts(variables, cpts) -> list[Finding]:
-    """The CPT findings for ``variables``: each needs a CPT keyed by its
-    parents, with one in-range p_high per parent assignment; a CPT for any
-    other id is unknown."""
+    """The CPT findings for ``variables``: each names a parent once and
+    needs a CPT keyed by its parents, with one in-range p_high per parent
+    assignment; a CPT for any other id is unknown."""
     findings = []
     for v in variables:
+        # a factor gives each scope variable one bit: name each parent once
+        for p, n in Counter(v.parents).items():
+            if n > 1:
+                times = "twice" if n == 2 else f"{n} times"
+                findings.append(Finding("repeated parent", v.id,
+                                        f"parent {p!r} listed {times}"))
         cpt = cpts.get(v.id)
         if cpt is None:
             findings.append(Finding("missing CPT", v.id,
@@ -188,17 +205,12 @@ def check_cpts(variables, cpts) -> list[Finding]:
 def validate_network(net: BayesianNetwork) -> ValidationReport:
     """Check a network for structural defects. Defects are data, not
     exceptions; inference entry points refuse networks that do not pass."""
-    report = ValidationReport()
-    seen = set()
-    for v in net.variables:
-        if v.id in seen:
-            report.findings.append(Finding("duplicate id", v.id))
-        seen.add(v.id)
-    ids = {v.id for v in net.variables}
+    report = ValidationReport(list(_duplicate_ids(v.id for v in net.variables)))
+    parent_map = {v.id: v.parents for v in net.variables}
 
     for v in net.variables:
         for p in v.parents:
-            if p not in ids:
+            if p not in parent_map:
                 report.findings.append(
                     Finding("dangling parent", v.id, f"parent {p!r} not in network"))
         if v.kind in ROOT_ONLY_KINDS and v.parents:
@@ -206,10 +218,9 @@ def validate_network(net: BayesianNetwork) -> ValidationReport:
                 Finding("root kind with parents", v.id,
                         f"kind {v.kind!r} variables must be roots"))
 
-    parent_map = {v.id: v.parents for v in net.variables}
-    cycle = _find_cycle(sorted(ids), lambda n: parent_map.get(n, ()))
+    cycle = _find_cycle(parent_map)
     if cycle is not None:
-        report.findings.append(Finding("cycle", cycle[0], path=tuple(cycle)))
+        report.findings.append(cycle)
 
     report.findings.extend(check_cpts(net.variables, net.cpts))
     return report
@@ -305,18 +316,6 @@ def _bit(scope, var):
     return 1 << (len(scope) - 1 - scope.index(var))
 
 
-def _index_map(scope, other):
-    """For each mask over ``scope``, in order, the index into a table over
-    ``other`` that agrees with it: variables of ``other`` missing from
-    ``scope`` are L, variables of ``scope`` missing from ``other`` are
-    ignored."""
-    index = [0]
-    for var in scope:
-        bit = _bit(other, var) if var in other else 0
-        index = [i + b for i in index for b in (0, bit)]
-    return index
-
-
 def factor_from_cpt(cpt: Cpt) -> Factor:
     table = []
     for key in cpt.expected_keys():  # parent assignments in mask order
@@ -327,11 +326,16 @@ def factor_from_cpt(cpt: Cpt) -> Factor:
 
 def factor_product(f1: Factor, f2: Factor) -> Factor:
     """Pointwise product over the ordered union of the two scopes."""
-    scope = f1.scope + tuple(v for v in f2.scope if v not in f1.scope)
-    t1, t2 = f1.table, f2.table
-    return Factor(scope, tuple(
-        t1[i] * t2[j] for i, j in zip(_index_map(scope, f1.scope),
-                                      _index_map(scope, f2.scope))))
+    extra = tuple(v for v in f2.scope if v not in f1.scope)
+    scope = f1.scope + extra
+    # f1's scope leads, so mask m reads f1 at m >> len(extra); f2 at index[m]
+    index = [0]
+    for var in scope:
+        bit = _bit(f2.scope, var) if var in f2.scope else 0
+        index = [i + b for i in index for b in (0, bit)]
+    t1, t2, shift = f1.table, f2.table, len(extra)
+    return Factor(scope, tuple(t1[m >> shift] * t2[j]
+                               for m, j in enumerate(index)))
 
 
 def sum_out(f: Factor, var: str) -> Factor:
@@ -340,18 +344,20 @@ def sum_out(f: Factor, var: str) -> Factor:
         raise UsageError(f"sum_out: {var!r} not in factor scope {list(f.scope)}")
     bit = _bit(f.scope, var)
     scope = tuple(v for v in f.scope if v != var)
+    # the masks with var's bit clear, ascending, are the reduced masks in order
     return Factor(scope, tuple(f.table[i] + f.table[i | bit]
-                               for i in _index_map(scope, f.scope)))
+                               for i in range(len(f.table)) if not i & bit))
 
 
 def restrict(f: Factor, var: str, state: str) -> Factor:
     """Condition a factor on var = state, dropping var from the scope."""
     if var not in f.scope:
         return f
-    offset = _bit(f.scope, var) * BINARY_STATES.index(state)
+    bit = _bit(f.scope, var)
+    offset = bit * BINARY_STATES.index(state)
     scope = tuple(v for v in f.scope if v != var)
     return Factor(scope, tuple(f.table[i + offset]
-                               for i in _index_map(scope, f.scope)))
+                               for i in range(len(f.table)) if not i & bit))
 
 
 def _product(factors, exponent):

@@ -83,17 +83,13 @@ def cmd_validate(args):
         else:
             print(f"parse error: {exc}")
         return 1
-    findings = arch_mod.validate_architecture(document).findings
+    report = arch_mod.validate_architecture(document)
     if args.format == "json":
-        print(json.dumps({"ok": not findings,
-                          "findings": [_finding_json(f) for f in findings]}))
+        print(json.dumps({"ok": report.ok, "findings": [
+            _finding_json(f) for f in report.findings]}))
     else:
-        if findings:
-            for f in findings:
-                print(str(f))
-        else:
-            print("OK")
-    return 0 if not findings else 1
+        print(report)
+    return 0 if report.ok else 1
 
 
 def cmd_eval(args):

@@ -33,33 +33,40 @@ class ParseError(DataError):
         super().__init__(message)
 
 
-class InvalidNetworkError(DataError):
+class _FindingsError(DataError):
+    """A failed validation of the class's ``subject``; carries the findings."""
+
+    def __init__(self, findings):
+        self.findings = list(findings)
+        details = "; ".join(str(f) for f in self.findings)
+        super().__init__(f"invalid {self.subject}: {details}")
+
+
+class InvalidNetworkError(_FindingsError):
     """A Bayesian network failed validation; carries the findings."""
 
-    def __init__(self, findings):
-        self.findings = list(findings)
-        details = "; ".join(str(f) for f in self.findings)
-        super().__init__(f"invalid network: {details}")
+    subject = "network"
 
 
-class InvalidArchitectureError(DataError):
+class InvalidArchitectureError(_FindingsError):
     """An architecture failed structural validation; carries the findings."""
 
-    def __init__(self, findings):
-        self.findings = list(findings)
-        details = "; ".join(str(f) for f in self.findings)
-        super().__init__(f"invalid architecture: {details}")
+    subject = "architecture"
 
 
 class ImpossibleEvidenceError(DataError):
     """The evidence set has probability zero under the network; a sweep
-    names the grid value ``t`` it failed at, a comparison the network."""
+    names the grid value ``t`` it failed at, a comparison the network. The
+    message lists the first 10 pairs in sorted order and counts the rest;
+    ``evidence`` keeps them all."""
 
     def __init__(self, evidence, t=None, network=None):
         self.evidence = dict(evidence)
         self.t = t
-        shown = ", ".join(f"{k}={v}" for k, v in sorted(self.evidence.items()))
-        message = f"impossible evidence: {{{shown}}}"
+        shown = [f"{k}={v}" for k, v in sorted(self.evidence.items())]
+        if len(shown) > 10:
+            shown[10:] = [f"and {len(shown) - 10} more"]
+        message = f"impossible evidence: {{{', '.join(shown)}}}"
         if t is not None:
             message += f" at t = {t!r}"
         if network is not None:

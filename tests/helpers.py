@@ -9,8 +9,7 @@ from functools import reduce
 from archuncert.arch import (AnnotatedArchitecture, Component,
                              UncertaintyAnnotation)
 from archuncert.bn import (BINARY_STATES, BayesianNetwork, Cpt, Factor,
-                           Variable, factor_from_cpt, factor_product,
-                           restrict, row_key, sum_out)
+                           Variable, factor_from_cpt, row_key)
 
 
 def two_node_network():
@@ -215,19 +214,61 @@ def reference_change_impact(arch, component):
     return [c for c in order if c in reachable]
 
 
+def reference_index_map(scope, other):
+    """For each mask over ``scope``, in order, the index into a table over
+    ``other`` that agrees with it: variables of ``other`` missing from
+    ``scope`` are L, variables of ``scope`` missing from ``other`` are
+    ignored. The table layout as ``bn`` first stated it."""
+    index = [0]
+    for var in scope:
+        bit = 1 << (len(other) - 1 - other.index(var)) if var in other else 0
+        index = [i + b for i in index for b in (0, bit)]
+    return index
+
+
+def reference_factor_product(f1, f2):
+    """``bn.factor_product`` as first written, on two index maps."""
+    scope = f1.scope + tuple(v for v in f2.scope if v not in f1.scope)
+    return Factor(scope, tuple(
+        f1.table[i] * f2.table[j]
+        for i, j in zip(reference_index_map(scope, f1.scope),
+                        reference_index_map(scope, f2.scope))))
+
+
+def reference_sum_out(f, var):
+    """``bn.sum_out`` as first written, on an index map."""
+    bit = 1 << (len(f.scope) - 1 - f.scope.index(var))
+    scope = tuple(v for v in f.scope if v != var)
+    return Factor(scope, tuple(f.table[i] + f.table[i | bit]
+                               for i in reference_index_map(scope, f.scope)))
+
+
+def reference_restrict(f, var, state):
+    """``bn.restrict`` as first written, on an index map."""
+    if var not in f.scope:
+        return f
+    bit = 1 << (len(f.scope) - 1 - f.scope.index(var))
+    offset = bit * BINARY_STATES.index(state)
+    scope = tuple(v for v in f.scope if v != var)
+    return Factor(scope, tuple(f.table[i + offset]
+                               for i in reference_index_map(scope, f.scope)))
+
+
 def reference_elimination_joint(net, target, evidence, order, cpts):
     """The run of ``bn._elimination`` as first written: restrict every
     factor on every evidence variable, then at each step of ``order``
     collect the factors that hold the variable by scanning the whole list.
-    Quadratic, kept as the reference for the bucket run."""
+    Quadratic, kept as the reference for the bucket run; it multiplies,
+    sums and restricts with the reference formulas above."""
     factors = [factor_from_cpt(cpts[v.id]) for v in net.variables]
     for var, state in evidence.items():
-        factors = [restrict(f, var, state) for f in factors]
+        factors = [reference_restrict(f, var, state) for f in factors]
     for var in order:
         relevant = [f for f in factors if var in f.scope]
         factors = [f for f in factors if var not in f.scope]
-        factors.append(sum_out(reduce(factor_product, relevant), var))
-    result = reduce(factor_product, factors, Factor((), (1.0,)))
+        factors.append(reference_sum_out(
+            reduce(reference_factor_product, relevant), var))
+    result = reduce(reference_factor_product, factors, Factor((), (1.0,)))
     if target in evidence:
         return tuple(result.table[0] if s == evidence[target] else 0.0
                      for s in BINARY_STATES)

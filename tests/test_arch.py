@@ -141,6 +141,16 @@ class TestToNetwork:
         assert finding.variable == "M"
         assert "L,L" in finding.detail
 
+    def test_invalid_architecture_error_text(self):
+        arch = AnnotatedArchitecture(
+            "x", (Component("a", "classical"), Component("b", "classical"),
+                  Component("a", "ml")),
+            (("a", "b"), ("b", "a")), (), {})
+        with pytest.raises(InvalidArchitectureError) as exc:
+            to_network(arch)
+        assert str(exc.value) == ("invalid architecture: duplicate id "
+                                  "variable=a; cycle variable=a path=a->b->a")
+
 
 class TestValidateArchitecture:
     def test_cycle_named(self):
@@ -242,3 +252,5 @@ class TestChangeImpact:
                   if f.kind == "cycle"]
         assert exc.value.findings == cycles
         assert cycles[0].path == ("B", "C", "B")
+        assert str(exc.value) == (
+            "invalid architecture: cycle variable=B path=B->C->B")

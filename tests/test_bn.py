@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from archuncert.bn import (BayesianNetwork, Cpt, Factor, Variable,
                            _elimination, _elimination_order, factor_product,
                            joint_probability,
-                           marginal_brute_force, marginal_ve, row_keys,
-                           sum_out, validate_network)
+                           marginal_brute_force, marginal_ve, restrict,
+                           row_keys, sum_out, validate_network)
 from archuncert.errors import (ImpossibleEvidenceError, InvalidNetworkError,
                                UsageError)
 from helpers import (random_network, random_query,
                      reference_elimination_joint, reference_elimination_order,
-                     two_node_network)
+                     reference_factor_product, reference_restrict,
+                     reference_sum_out, two_node_network)
 
 # both inference routes answer through the same query contract
 ROUTES = (marginal_ve, marginal_brute_force)
@@ -28,6 +29,18 @@ def chain_network():
         cpts={"A": Cpt("A", (), {"": 0.5}),
               "B": Cpt("B", ("A",), {"L": 0.5, "H": 0.5}),
               "C": Cpt("C", ("B",), {"L": 0.5, "H": 0.5})})
+
+
+def _chain(rng, n):
+    """v0 -> v1 -> ... -> v(n-1), every p_high drawn from [0.3, 0.7]."""
+    ids = [f"v{i}" for i in range(n)]
+    variables, cpts = [], {}
+    for i, var in enumerate(ids):
+        parents = (ids[i - 1],) if i else ()
+        rows = {key: rng.uniform(0.3, 0.7) for key in row_keys(parents)}
+        variables.append(Variable(var, "component", parents))
+        cpts[var] = Cpt(var, parents, rows)
+    return BayesianNetwork(tuple(variables), cpts)
 
 
 class TestValidation:
@@ -98,6 +111,36 @@ class TestValidation:
         assert [str(f) for f in validate_network(net).findings] == [
             "root kind with parents variable=E "
             "kind 'epistemic' variables must be roots"]
+
+    def test_repeated_parent_is_refused(self):
+        # a table has one bit per variable, so a repeated parent has none
+        net = BayesianNetwork(
+            variables=(Variable("a", "component", ()),
+                       Variable("b", "component", ("a", "a"))),
+            cpts={"a": Cpt("a", (), {"": 0.3}),
+                  "b": Cpt("b", ("a", "a"), {"L,L": 0.1, "L,H": 0.2,
+                                             "H,L": 0.5, "H,H": 0.4})})
+        assert [str(f) for f in validate_network(net).findings] == [
+            "repeated parent variable=b parent 'a' listed twice"]
+        for marginal in ROUTES:
+            with pytest.raises(InvalidNetworkError) as exc:
+                marginal(net, "b")
+            assert str(exc.value) == (
+                "invalid network: repeated parent variable=b "
+                "parent 'a' listed twice")
+
+    def test_invalid_network_error_text(self):
+        net = BayesianNetwork(
+            variables=(Variable("A", "component", ("B",)),
+                       Variable("B", "component", ("A",)),
+                       Variable("A", "component", ("B",))),
+            cpts={"A": Cpt("A", ("B",), {"L": 0.5, "H": 0.5}),
+                  "B": Cpt("B", ("A",), {"L": 0.5, "H": 0.5})})
+        with pytest.raises(InvalidNetworkError) as exc:
+            marginal_ve(net, "B")
+        assert str(exc.value) == (
+            "invalid network: duplicate id variable=A; "
+            "cycle variable=A path=A->B->A")
 
     def test_inference_refuses_invalid_network(self):
         net = BayesianNetwork(
@@ -225,6 +268,26 @@ class TestFactorAlgebra:
         with pytest.raises(UsageError):
             sum_out(self.f_a(), "Z")
 
+    def test_equals_index_map_formulas_on_random_factors(self):
+        rng = random.Random(3000)
+        names = "abcdefgh"
+
+        def random_factor():
+            scope = tuple(rng.sample(names, rng.randint(0, 6)))
+            # some exact zeros and ones, as deterministic CPT rows give
+            return Factor(scope, tuple(
+                rng.choice((0.0, 1.0)) if rng.random() < 0.2 else rng.random()
+                for _ in range(2 ** len(scope))))
+        for _ in range(3000):
+            f1, f2 = random_factor(), random_factor()
+            assert factor_product(f1, f2) == reference_factor_product(f1, f2)
+            var, state = rng.choice(names), rng.choice("LH")
+            assert restrict(f1, var, state) == reference_restrict(f1, var,
+                                                                  state)
+            if f1.scope:
+                var = rng.choice(f1.scope)
+                assert sum_out(f1, var) == reference_sum_out(f1, var)
+
 
 class TestVariableElimination:
     def test_matches_oracle_on_example(self):
@@ -267,22 +330,39 @@ class TestVariableElimination:
 
     def test_long_evidence_chain_does_not_underflow(self):
         # P(e) is about 2^-1200, below the smallest double
-        rng = random.Random(1200)
-        ids = [f"v{i}" for i in range(1200)]
-        variables, cpts = [], {}
-        for i, var in enumerate(ids):
-            parents = (ids[i - 1],) if i else ()
-            rows = {key: rng.uniform(0.3, 0.7) for key in row_keys(parents)}
-            variables.append(Variable(var, "component", parents))
-            cpts[var] = Cpt(var, parents, rows)
-        net = BayesianNetwork(tuple(variables), cpts)
-        evidence = {var: "H" for var in ids if var != "v600"}
+        net = _chain(random.Random(1200), 1200)
+        cpts = net.cpts
+        evidence = {v.id: "H" for v in net.variables if v.id != "v600"}
         # v600's Markov blanket is v599 and v601, both H
         a = cpts["v600"].rows["H"]
         b, c = cpts["v601"].rows["H"], cpts["v601"].rows["L"]
         expected = a * b / (a * b + (1.0 - a) * c)
         dist = marginal_ve(net, "v600", evidence)
         assert abs(dist["H"] - expected) <= 1e-12
+
+    def test_impossible_evidence_message_counts_past_ten_pairs(self):
+        rng = random.Random(1200)
+        net = _chain(rng, 1200)
+        net.cpts["v0"].rows[""] = 0.0
+        evidence = {v.id: "H" for v in net.variables if v.id != "v600"}
+        with pytest.raises(ImpossibleEvidenceError) as exc:
+            marginal_ve(net, "v600", evidence)
+        assert exc.value.evidence == evidence
+        message = str(exc.value)
+        assert len(message) < 300
+        assert message == (
+            "impossible evidence: {v0=H, v1=H, v10=H, v100=H, v1000=H, "
+            "v1001=H, v1002=H, v1003=H, v1004=H, v1005=H, and 1189 more}")
+        eleven = {f"v{i}": "LH"[i % 2] for i in range(11)}
+        assert str(ImpossibleEvidenceError(eleven, 0.5, "x")) == (
+            "network 'x': impossible evidence: {v0=L, v1=H, v10=L, v2=L, "
+            "v3=H, v4=L, v5=H, v6=L, v7=H, v8=L, and 1 more} at t = 0.5")
+
+    def test_impossible_evidence_message_lists_up_to_ten_pairs(self):
+        ten = {f"v{i}": "LH"[i % 2] for i in range(10)}
+        assert str(ImpossibleEvidenceError(ten)) == (
+            "impossible evidence: {v0=L, v1=H, v2=L, v3=H, v4=L, v5=H, "
+            "v6=L, v7=H, v8=L, v9=H}")
 
     def test_deterministic_repeat(self):
         rng = random.Random(123)

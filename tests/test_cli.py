@@ -31,6 +31,22 @@ def samples_csv(tmp_path):
     return str(dst)
 
 
+# the edge a -> b is declared twice, so b's CPT is keyed by ["a", "a"]
+REPEATED_PARENT = (
+    'name: "repeated"\n'
+    'components:\n'
+    '- {"id": "a", "kind": "classical"}\n'
+    '- {"id": "b", "kind": "classical"}\n'
+    'edges:\n'
+    '- {"from": "a", "to": "b"}\n'
+    '- {"from": "a", "to": "b"}\n'
+    'cpts:\n'
+    '  a: {"parents": [], "rows": {"": 0.3}}\n'
+    '  b:\n'
+    '    parents: ["a", "a"]\n'
+    '    rows: {"L,L": 0.1, "L,H": 0.2, "H,L": 0.5, "H,H": 0.4}\n')
+
+
 class TestValidate:
     def test_ok_text(self, end_to_end, capsys):
         assert main(["validate", end_to_end]) == 0
@@ -56,6 +72,27 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "cycle" in out
         assert "a" in out and "b" in out
+
+    def test_duplicate_id_and_cycle_text(self, tmp_path, capsys):
+        path = tmp_path / "findings.arch"
+        path.write_text('name: "x"\ncomponents:\n'
+                        '- {"id": "a", "kind": "classical"}\n'
+                        '- {"id": "b", "kind": "classical"}\n'
+                        '- {"id": "a", "kind": "ml"}\n'
+                        'edges:\n'
+                        '- {"from": "a", "to": "b"}\n'
+                        '- {"from": "b", "to": "a"}\n')
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "duplicate id variable=a\n"
+            "cycle variable=a path=a->b->a\n")
+
+    def test_repeated_parent_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "repeated.arch"
+        path.write_text(REPEATED_PARENT)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "repeated parent variable=b parent 'a' listed twice\n")
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.arch"
@@ -112,6 +149,17 @@ class TestEval:
                      "--evidence", "DE=H", "--evidence", "DE=L"]) == 2
         assert capsys.readouterr().err == (
             "error: --evidence 'DE=L': duplicate variable\n")
+
+    @pytest.mark.parametrize("query", [["--target", "b"],
+                                       ["--target", "a", "--evidence", "b=H"]])
+    def test_repeated_parent_exits_1(self, tmp_path, capsys, query):
+        path = tmp_path / "repeated.arch"
+        path.write_text(REPEATED_PARENT)
+        assert main(["eval", str(path)] + query) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: invalid architecture: repeated parent variable=b "
+                "parent 'a' listed twice\n")
 
     def test_deterministic_output(self, end_to_end, capsys):
         main(["eval", end_to_end, "--target", "Planning"])
