@@ -13,7 +13,7 @@ from .arch import (AnnotatedArchitecture, Component, UncertaintyAnnotation,
 from .bn import (BINARY_STATES, BayesianNetwork, Cpt, Factor, Finding, HIGH,
                  LOW, ValidationReport, Variable, factor_product,
                  joint_probability, marginal_brute_force, marginal_ve,
-                 restrict, row_key, sum_out, validate_network)
+                 restrict, row_key, row_keys, sum_out, validate_network)
 from .calibration import (CalibrationRecord, CalibrationResult,
                           ConditionalRow, INFINITE_THRESHOLD, ThresholdResult,
                           compute_threshold, estimate_conditional,

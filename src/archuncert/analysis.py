@@ -1,7 +1,7 @@
 """Sensitivity sweeps, architecture comparison, crossing detection.
 
 A sweep writes the same grid value t into one or more selected CPT rows of
-a working copy of the network and reads off the high-state marginal of a
+a copy of the network's CPT map and reads off the high-state marginal of a
 query variable. Grid values are computed as from + i*step with integer i
 (never accumulated addition) and clamped to the range's end, so a [0,1]
 sweep at step 0.01 hits exactly 101 points ending at 1.0. The query is
@@ -11,9 +11,9 @@ planned once per network (``bn.plan_ve``) and run at every grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .bn import BayesianNetwork, Cpt, HIGH, marginal_ve, plan_ve
+from .bn import BayesianNetwork, Cpt, HIGH, marginal_ve, plan_ve, row_keys
 from .errors import ImpossibleEvidenceError, UsageError
 
 ALL_ROWS = "all"  # row selector wildcard
@@ -88,14 +88,6 @@ class ComparisonResult:
         return [pa - pb for (_, pa), (_, pb) in
                 zip(self.sweep_a.points, self.sweep_b.points)]
 
-    @property
-    def delta_start(self):
-        return self.deltas[0]
-
-    @property
-    def delta_end(self):
-        return self.deltas[-1]
-
 
 def evaluate(net: BayesianNetwork, target: str,
              evidence: dict[str, str] | None = None) -> float:
@@ -104,30 +96,32 @@ def evaluate(net: BayesianNetwork, target: str,
 
 
 def _resolve_rows(net: BayesianNetwork, spec: SweepSpec):
-    """Expand selectors to concrete (variable, row key) pairs."""
-    resolved = []
+    """Expand selectors to the row keys they select, grouped by variable."""
+    resolved = {}
     for var, selector in spec.targets:
         cpt = net.cpts.get(var)
         if cpt is None:
             raise UsageError(f"sweep selector names unknown variable {var!r}")
         if selector == ALL_ROWS:
-            keys = cpt.expected_keys()
+            keys = row_keys(cpt.parents)
         else:
             if selector not in cpt.rows:
                 raise UsageError(
                     f"sweep selector {var}@{selector!r}: no such CPT row "
-                    f"(rows: {cpt.expected_keys()})")
+                    f"(rows: {row_keys(cpt.parents)})")
             keys = [selector]
-        resolved.extend((var, k) for k in keys)
+        resolved.setdefault(var, []).extend(keys)
     return resolved
 
 
-def _with_rows(net: BayesianNetwork, rows, t: float) -> BayesianNetwork:
-    cpts = dict(net.cpts)
-    for var, key in rows:
+def _with_rows(cpts, rows, t: float):
+    """The CPT map ``cpts`` with p_high = t in the ``rows`` selected."""
+    cpts = dict(cpts)
+    for var, keys in rows.items():
         old = cpts[var]
-        cpts[var] = Cpt(old.variable, old.parents, {**old.rows, key: t})
-    return replace(net, cpts=cpts)
+        cpts[var] = Cpt(old.variable, old.parents,
+                        {**old.rows, **dict.fromkeys(keys, t)})
+    return cpts
 
 
 def sweep(net: BayesianNetwork, spec: SweepSpec,
@@ -143,7 +137,7 @@ def _sweep_rows(net, rows, spec, network_name):
     points = []
     for t in spec.grid:
         try:
-            points.append((t, marginal(_with_rows(net, rows, t).cpts)[HIGH]))
+            points.append((t, marginal(_with_rows(net.cpts, rows, t))[HIGH]))
         except ImpossibleEvidenceError as exc:
             raise ImpossibleEvidenceError(exc.evidence, t) from exc
     return SweepResult(tuple(points), spec, network_name)

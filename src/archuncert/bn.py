@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ImpossibleEvidenceError, InvalidNetworkError, UsageError
+from .errors import (MAX_LISTED, ImpossibleEvidenceError, InvalidNetworkError,
+                     UsageError)
 
 LOW = "L"
 HIGH = "H"
@@ -41,8 +43,11 @@ def row_key(states):
 
 def row_keys(parents):
     """Row keys of all assignments of ``parents``, in table order."""
-    return [row_key(c) for c in
-            itertools.product(BINARY_STATES, repeat=len(parents))]
+    return list(_row_keys(len(parents)))
+
+
+def _row_keys(n_parents, states=BINARY_STATES):
+    return (row_key(c) for c in itertools.product(states, repeat=n_parents))
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,6 @@ class Cpt:
     variable: str
     parents: tuple[str, ...]
     rows: dict[str, float]  # row_key -> p_high
-
-    def expected_keys(self):
-        return row_keys(self.parents)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,9 @@ def _find_cycle(graph):
 def check_cpts(variables, cpts) -> list[Finding]:
     """The CPT findings for ``variables``: each names a parent once and
     needs a CPT keyed by its parents, with one in-range p_high per parent
-    assignment; a CPT for any other id is unknown."""
+    assignment; a CPT for any other id is unknown. Only the rows present
+    are read: of the missing rows, MAX_LISTED are named and the rest
+    counted, so the work is linear in the document."""
     findings = []
     for v in variables:
         # a factor gives each scope variable one bit: name each parent once
@@ -169,9 +173,13 @@ def check_cpts(variables, cpts) -> list[Finding]:
                 findings.append(Finding("repeated parent", v.id,
                                         f"parent {p!r} listed {times}"))
         cpt = cpts.get(v.id)
+        k = len(v.parents)
         if cpt is None:
-            findings.append(Finding("missing CPT", v.id,
-                                    f"expected rows {row_keys(v.parents)}"))
+            shown = list(itertools.islice(_row_keys(k), MAX_LISTED))
+            rest = 2 ** k - len(shown)
+            findings.append(Finding(
+                "missing CPT", v.id, f"expected rows {shown}"
+                + (f" and {rest} more" if rest else "")))
             continue
         if cpt.variable != v.id:
             findings.append(Finding("CPT variable mismatch", v.id,
@@ -183,13 +191,21 @@ def check_cpts(variables, cpts) -> list[Finding]:
                         f"expected parents {list(v.parents)}, "
                         f"got {list(cpt.parents)}"))
             continue
-        expected = set(cpt.expected_keys())
-        present = set(cpt.rows)
-        for key in sorted(expected - present):
+        # a row is expected when its key is k 'L'/'H' symbols joined by commas
+        form = re.compile(",".join([f"[{LOW}{HIGH}]"] * k))
+        expected = {key for key in cpt.rows if form.fullmatch(key)}
+        # 'H' sorts before 'L', so these are the missing keys in sorted order
+        missing = (key for key in _row_keys(k, (HIGH, LOW))
+                   if key not in expected)
+        shown = list(itertools.islice(missing, MAX_LISTED))
+        for key in shown:
             findings.append(Finding("missing CPT row", v.id, f"row {key!r}"))
-        for key in sorted(present - expected):
+        rest = 2 ** k - len(expected) - len(shown)
+        if rest:
+            findings.append(Finding("missing CPT row", v.id, f"and {rest} more"))
+        for key in sorted(set(cpt.rows) - expected):
             findings.append(Finding("extra CPT row", v.id, f"row {key!r}"))
-        for key in sorted(present & expected):
+        for key in sorted(expected):
             p = cpt.rows[key]
             if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
                 findings.append(
@@ -318,7 +334,7 @@ def _bit(scope, var):
 
 def factor_from_cpt(cpt: Cpt) -> Factor:
     table = []
-    for key in cpt.expected_keys():  # parent assignments in mask order
+    for key in row_keys(cpt.parents):  # parent assignments in mask order
         p_high = cpt.rows[key]
         table += (1.0 - p_high, p_high)
     return Factor(tuple(cpt.parents) + (cpt.variable,), tuple(table))

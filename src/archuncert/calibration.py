@@ -85,6 +85,10 @@ def estimate_conditional(records, threshold: float,
         raise UsageError("estimate_conditional: empty record set")
     if not parent_order:
         raise UsageError("estimate_conditional: no parents declared")
+    if "" in parent_order or len(set(parent_order)) < len(parent_order):
+        raise UsageError(
+            f"estimate_conditional: parents need distinct non-empty names, "
+            f"got {list(parent_order)}")
 
     groups: dict[str, list] = {}
     for r in records:

@@ -139,30 +139,29 @@ def cmd_apply_pattern(args):
 
 def cmd_calibrate(args):
     record_set = formats.parse_calibration_csv(_read_file(args.records_file))
+    records = record_set.records
+    parents = record_set.parent_ids
+    if args.parents is not None:
+        parents = tuple(args.parents.split(","))
 
-    threshold = calibration.compute_threshold(record_set.records)
+    # every estimate before any output, so that an error prints nothing
+    threshold = calibration.compute_threshold(records)
+    prior = calibration.estimate_prior(records, threshold.value)
+    rows = None
+    if parents:
+        rows = calibration.estimate_conditional(records, threshold.value,
+                                                parents)
+
     if threshold.no_incorrect:
         print("threshold: +inf (no misclassified samples)")
     else:
         print(f"threshold: {threshold.value!r}")
-    prior = calibration.estimate_prior(record_set.records, threshold.value)
     print(f"p_high: {prior.p_high!r} ({prior.n_high}/{prior.n_total})")
-
-    parents = None
-    if args.parents:
-        parents = tuple(p for p in args.parents.split(",") if p)
-    elif record_set.parent_ids:
-        parents = record_set.parent_ids
-
-    rows = None
-    if parents:
-        rows = calibration.estimate_conditional(
-            record_set.records, threshold.value, parents)
-        for key in sorted(rows, key=lambda k: k.split(",")):
-            row = rows[key]
-            suffix = "" if row.estimated else "  [unestimated, defaulted]"
-            print(f"p_high[{key}]: {row.p_high!r} "
-                  f"({row.n_high}/{row.n_total}){suffix}")
+    for key in sorted(rows or (), key=lambda k: k.split(",")):
+        row = rows[key]
+        suffix = "" if row.estimated else "  [unestimated, defaulted]"
+        print(f"p_high[{key}]: {row.p_high!r} "
+              f"({row.n_high}/{row.n_total}){suffix}")
 
     if args.emit_cpt:
         _print_cpt_block(args.emit_cpt, parents, prior, rows)
@@ -176,8 +175,7 @@ def _print_cpt_block(var_id, parents, prior, rows):
     else:
         cpt = Cpt(var_id, parents,
                   {key: row.p_high for key, row in rows.items()})
-        unestimated = [key for key in cpt.expected_keys()
-                       if not rows[key].estimated]
+        unestimated = [key for key, row in rows.items() if not row.estimated]
     sys.stdout.write(formats.serialize_cpts({var_id: cpt}))
     if unestimated:
         print("# unestimated rows defaulted to 0.5: "
@@ -265,12 +263,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArchUncertError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def entry_point():

@@ -6,6 +6,8 @@ derived from DataError -> 1.
 
 from __future__ import annotations
 
+MAX_LISTED = 10  # items a message lists before it counts the rest
+
 
 class ArchUncertError(Exception):
     """Base class for all toolkit errors."""
@@ -64,8 +66,8 @@ class ImpossibleEvidenceError(DataError):
         self.evidence = dict(evidence)
         self.t = t
         shown = [f"{k}={v}" for k, v in sorted(self.evidence.items())]
-        if len(shown) > 10:
-            shown[10:] = [f"and {len(shown) - 10} more"]
+        if len(shown) > MAX_LISTED:
+            shown[MAX_LISTED:] = [f"and {len(shown) - MAX_LISTED} more"]
         message = f"impossible evidence: {{{', '.join(shown)}}}"
         if t is not None:
             message += f" at t = {t!r}"

@@ -32,11 +32,9 @@ import yaml
 from .analysis import ComparisonResult, SweepResult
 from .arch import (AnnotatedArchitecture, Component, UncertaintyAnnotation,
                    validate_architecture)
-from .bn import BINARY_STATES, Cpt
+from .bn import BINARY_STATES, Cpt, row_keys
 from .calibration import CalibrationRecord
 from .errors import DataError, InvalidArchitectureError, ParseError, UsageError
-
-TOP_LEVEL_KEYS = ("name", "components", "edges", "uncertainties", "cpts")
 
 # libyaml composes the bundled examples about 18 times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -97,6 +95,14 @@ def _check_depth(text):
         pass
 
 
+def _untagged_loader(stream):
+    """A loader of the class _YAML_LOADER names that resolves no implicit
+    tag: the schema walk reads every scalar as text, so none is needed."""
+    loader = _YAML_LOADER(stream)
+    loader.yaml_implicit_resolvers = {}
+    return loader
+
+
 def _as_mapping(node, what):
     if not isinstance(node, yaml.MappingNode):
         raise ParseError(f"expected a mapping for {what}", *_loc(node))
@@ -151,7 +157,7 @@ def parse_architecture_document(text: str) -> AnnotatedArchitecture:
     """Syntax and schema only; semantic checks live in validate_architecture."""
     _check_depth(text)
     try:
-        root = yaml.compose(text, Loader=_YAML_LOADER)
+        root = yaml.compose(text, Loader=_untagged_loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -281,7 +287,7 @@ def serialize_cpts(cpts: dict[str, Cpt]) -> str:
 
 
 def _row_order(cpt):
-    canonical = [k for k in cpt.expected_keys() if k in cpt.rows]
+    canonical = [k for k in row_keys(cpt.parents) if k in cpt.rows]
     stray = sorted(set(cpt.rows) - set(canonical))
     return canonical + stray
 
@@ -297,20 +303,24 @@ class CalibrationRecordSet:
 
 def parse_calibration_csv(text: str) -> CalibrationRecordSet:
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader]
-    rows = [row for row in rows if row]  # ignore blank lines
-    if not rows:
+    rows = filter(None, reader)  # ignore blank lines
+    header = [h.strip() for h in next(rows, ())]
+    if not header:
         raise DataError("calibration CSV: missing header row")
-    header = [h.strip() for h in rows[0]]
     if header[:3] != ["sample_id", "uncertainty", "correct"]:
         raise DataError(
             "calibration CSV: header must start with "
             "'sample_id,uncertainty,correct', got "
             + ",".join(header))
     parent_ids = tuple(header[3:])
+    if "" in parent_ids or len(set(parent_ids)) < len(parent_ids):
+        raise DataError(
+            "calibration CSV: parent columns need distinct non-empty "
+            "names, got " + ",".join(parent_ids))
 
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in rows:
+        lineno = reader.line_num
         if len(row) != len(header):
             raise DataError(
                 f"row {lineno}: expected {len(header)} fields, got {len(row)}")

@@ -66,6 +66,9 @@ def apply_n_version(arch: AnnotatedArchitecture,
                 "pattern applied twice")
 
     voter_id = spec.voter_id or f"voter_{spec.target}"
+    if spec.monitor_id == voter_id:
+        raise UsageError(f"monitor and voter need distinct ids, both are "
+                         f"{voter_id!r}")
     existing = {c.id for c in arch.components} | {a.id for a in arch.annotations}
     for new_id in (spec.monitor_id, voter_id):
         if new_id in existing:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,7 @@ from archuncert.analysis import (ALL_ROWS, SweepSpec, _resolve_rows,
                                  _with_rows, compare, evaluate,
                                  find_crossings, sweep)
 from archuncert.bn import (HIGH, BayesianNetwork, Cpt, Variable,
-                           marginal_brute_force, marginal_ve)
+                           marginal_brute_force, marginal_ve, row_keys)
 from archuncert.errors import ImpossibleEvidenceError, UsageError
 from helpers import random_network, random_query, two_node_network
 
@@ -33,6 +34,12 @@ class TestEvaluate:
 
 
 class TestSweepSpec:
+    def test_no_targets_rejected(self):
+        with pytest.raises(UsageError) as exc:
+            SweepSpec((), "B")
+        assert str(exc.value) == (
+            "sweep needs at least one (variable, row) target")
+
     def test_degenerate_range_rejected(self):
         with pytest.raises(UsageError):
             SweepSpec((("A", ""),), "B", start=0.5, stop=0.5)
@@ -140,7 +147,7 @@ class TestSweep:
         result = sweep(net, spec)
         rows = _resolve_rows(net, spec)
         for t, p in result.points:
-            working = _with_rows(net, rows, t)
+            working = replace(net, cpts=_with_rows(net.cpts, rows, t))
             assert abs(p - marginal_brute_force(working, ids[-1])["H"]) <= 1e-12
 
 
@@ -154,13 +161,13 @@ class TestSweep:
             targets = []
             for var in rng.sample([v.id for v in net.variables],
                                   rng.randint(1, 3)):
-                keys = net.cpts[var].expected_keys()
+                keys = row_keys(net.cpts[var].parents)
                 targets.append((var, rng.choice(keys + [ALL_ROWS])))
             spec = SweepSpec(tuple(targets), query, evidence, step=0.125)
             rows = _resolve_rows(net, spec)
             expected = []
             for t in spec.grid:
-                working = _with_rows(net, rows, t)
+                working = replace(net, cpts=_with_rows(net.cpts, rows, t))
                 try:
                     p = marginal_ve(working, query, evidence)[HIGH]
                 except ImpossibleEvidenceError:
@@ -181,8 +188,9 @@ class TestSweep:
             assert str(exc.value) == (
                 f"impossible evidence: {{B={state}}} at t = {t}")
             assert exc.value.evidence == {"B": state}
+            rows = _resolve_rows(net, spec)
             with pytest.raises(ImpossibleEvidenceError):
-                marginal_ve(_with_rows(net, _resolve_rows(net, spec), t),
+                marginal_ve(replace(net, cpts=_with_rows(net.cpts, rows, t)),
                             "A", {"B": state})
 
     def test_validates_each_network_once(self, monkeypatch):
@@ -232,6 +240,13 @@ class TestFindCrossings:
             find_crossings([(0.0, 0.1), (1.0, 0.2)],
                            [(0.0, 0.1), (0.5, 0.2)])
 
+    def test_grid_must_increase(self):
+        curve = [(0.5, 0.1), (0.5, 0.2)]
+        with pytest.raises(UsageError) as exc:
+            find_crossings(curve, curve)
+        assert str(exc.value) == (
+            "find_crossings: grid must be strictly increasing")
+
 
 class TestCompare:
     def test_self_comparison(self):
@@ -251,8 +266,8 @@ class TestCompare:
         crossing = result.crossings[0]
         assert crossing.t_low <= 0.5 <= crossing.t_high
         assert abs(crossing.estimate - 0.5) <= 0.01
-        assert result.delta_start == pytest.approx(-0.6, abs=1e-12)
-        assert result.delta_end == pytest.approx(0.6, abs=1e-12)
+        assert result.deltas[0] == pytest.approx(-0.6, abs=1e-12)
+        assert result.deltas[-1] == pytest.approx(0.6, abs=1e-12)
 
     def test_impossible_evidence_names_the_network_and_grid_point(self):
         # P(B=H) is 0.2 + 0.7 t in A-net and 0.3 t in B-net

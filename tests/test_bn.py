@@ -83,6 +83,52 @@ class TestValidation:
         assert [ (f.kind, f.variable, f.detail) for f in report.findings ] == [
             ("missing CPT row", "B", "row 'L'")]
 
+    def test_missing_rows_are_capped(self):
+        # 16 rows expected, one present; 'X' and 'L,L,L' are not row keys
+        parents = ("a", "b", "c", "d")
+        net = BayesianNetwork(
+            variables=(Variable("a", "component", ()),
+                       Variable("b", "component", ()),
+                       Variable("c", "component", ()),
+                       Variable("d", "component", ()),
+                       Variable("e", "component", parents),
+                       Variable("f", "component", parents)),
+            cpts={**{v: Cpt(v, (), {"": 0.5}) for v in "abcd"},
+                  "e": Cpt("e", parents, {"H,H,L,H": 0.5, "X": 0.1,
+                                          "L,L,L": 0.2})})
+        keys = ["H,H,H,H", "H,H,H,L", "H,H,L,L", "H,L,H,H", "H,L,H,L",
+                "H,L,L,H", "H,L,L,L", "L,H,H,H", "L,H,H,L", "L,H,L,H"]
+        assert [str(f) for f in validate_network(net).findings] == [
+            *(f"missing CPT row variable=e row {k!r}" for k in keys),
+            "missing CPT row variable=e and 5 more",
+            "extra CPT row variable=e row 'L,L,L'",
+            "extra CPT row variable=e row 'X'",
+            f"missing CPT variable=f expected rows {row_keys(parents)[:10]}"
+            " and 6 more"]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_findings_match_full_enumeration_up_to_ten_rows(self, seed):
+        # every key the table could have, compared as sets: the findings
+        # of the old full enumeration, to which the capped ones reduce
+        rng = random.Random(seed)
+        parents = tuple("abc"[:rng.randint(0, 3)])
+        candidates = row_keys(parents) + ["", "L", "H,L", "x", "L,L,L,L"]
+        rows = {key: rng.choice([0.5, 1.5])
+                for key in rng.sample(candidates, rng.randint(0, 6))}
+        net = BayesianNetwork(
+            (*(Variable(p, "component", ()) for p in parents),
+             Variable("v", "component", parents)),
+            {**{p: Cpt(p, (), {"": 0.5}) for p in parents},
+             "v": Cpt("v", parents, rows)})
+        expected, present = set(row_keys(parents)), set(rows)
+        assert [str(f) for f in validate_network(net).findings] == [
+            *(f"missing CPT row variable=v row {k!r}"
+              for k in sorted(expected - present)),
+            *(f"extra CPT row variable=v row {k!r}"
+              for k in sorted(present - expected)),
+            *(f"probability out of range variable=v row {k!r} has p_high 1.5"
+              for k in sorted(present & expected) if rows[k] == 1.5)]
+
     def test_cpt_for_another_variable(self):
         net = BayesianNetwork(
             variables=(Variable("A", "component", ()),),

@@ -34,6 +34,11 @@ class TestThreshold:
 
 
 class TestPrior:
+    def test_empty_set(self):
+        with pytest.raises(UsageError) as exc:
+            estimate_prior([], 0.5)
+        assert str(exc.value) == "estimate_prior: empty record set"
+
     def test_two_of_three_at_or_above(self):
         result = estimate_prior(THREE, 0.5)
         assert result.p_high == 2 / 3
@@ -59,6 +64,15 @@ class TestPrior:
 
 
 class TestConditional:
+    @pytest.mark.parametrize("records, parents, message", [
+        ([], ["EU"], "estimate_conditional: empty record set"),
+        (THREE, [], "estimate_conditional: no parents declared"),
+    ])
+    def test_empty_inputs(self, records, parents, message):
+        with pytest.raises(UsageError) as exc:
+            estimate_conditional(records, 0.5, parents)
+        assert str(exc.value) == message
+
     def test_per_group_counting(self):
         records = [rec(0.6, True, "a", {"EU": "H"}),
                    rec(0.4, True, "b", {"EU": "H"}),
@@ -95,3 +109,11 @@ class TestConditional:
                    rec(0.4, True, "odd-one", {"SU": "H"})]
         with pytest.raises(DataError, match="odd-one"):
             estimate_conditional(records, 0.5, ["EU"])
+
+    @pytest.mark.parametrize("parents", [["EU", "EU"], [""], ["EU", ""]])
+    def test_parents_need_distinct_names(self, parents):
+        with pytest.raises(UsageError) as exc:
+            estimate_conditional([rec(0.6, True, "a", {"EU": "H"})], 0.5,
+                                 parents)
+        assert str(exc.value) == ("estimate_conditional: parents need "
+                                  f"distinct non-empty names, got {parents}")

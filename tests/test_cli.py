@@ -94,6 +94,28 @@ class TestValidate:
         assert capsys.readouterr().out == (
             "repeated parent variable=b parent 'a' listed twice\n")
 
+    def test_wide_table_lists_ten_missing_rows(self, tmp_path, capsys):
+        # 2^20 rows expected and one present: the findings stay short
+        ids = [f"c{i}" for i in range(20)]
+        path = tmp_path / "wide.arch"
+        path.write_text(
+            'name: "wide"\ncomponents:\n'
+            + "".join(f'- {{"id": "{c}", "kind": "classical"}}\n'
+                      for c in ids + ["sink"])
+            + "edges:\n"
+            + "".join(f'- {{"from": "{c}", "to": "sink"}}\n' for c in ids)
+            + "cpts:\n"
+            + "".join(f'  {c}: {{"parents": [], "rows": {{"": 0.5}}}}\n'
+                      for c in ids)
+            + f"  sink:\n    parents: {json.dumps(ids)}\n"
+            + f'    rows: {{"{",".join("L" * 20)}": 0.5}}\n')
+        assert main(["validate", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("missing CPT row variable=sink row "
+                            f"'{','.join('H' * 20)}'")
+        assert lines[10:] == [
+            "missing CPT row variable=sink and 1048565 more"]
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.arch"
         path.write_text("name: [unclosed")
@@ -280,6 +302,19 @@ class TestApplyPattern:
         assert '"H,L": 0.09999999999999998' in text or '"H,L": 0.1' in text
         assert main(["validate", str(out)]) == 0
 
+    @pytest.mark.parametrize("ids", [["--monitor", "m", "--voter", "m"],
+                                     ["--monitor", "voter_DE"]])
+    def test_monitor_id_equal_to_voter_id_exits_2(self, end_to_end, tmp_path,
+                                                  capsys, ids):
+        out = tmp_path / "out.arch"
+        assert main(["apply-pattern", "n-version", end_to_end,
+                     "--component", "DE", *ids, "--monitor-p-high", "0.5",
+                     "--weight", "0.5", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: monitor and voter need distinct ids, both are "
+            f"{ids[1]!r}\n")
+        assert not out.exists()
+
     def test_unknown_pattern_exits_2(self, end_to_end):
         with pytest.raises(SystemExit) as exc:
             main(["apply-pattern", "recovery-block", end_to_end,
@@ -352,6 +387,15 @@ class TestCalibrate:
             '      "H,L": 0.5\n'
             '      "H,H": 1.0\n'
             '# unestimated rows defaulted to 0.5: "H,L"\n')
+
+    @pytest.mark.parametrize("parents", [",", "", "EU,EU"])
+    def test_parents_need_distinct_names(self, samples_csv, capsys, parents):
+        assert main(["calibrate", samples_csv, "--parents", parents,
+                     "--emit-cpt", "DE"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: estimate_conditional: parents need distinct "
+                       f"non-empty names, got {parents.split(',')}\n")
 
     def test_data_error_exits_1(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archuncert import example_path, formats
-from archuncert.analysis import SweepSpec, compare, sweep
+from archuncert.analysis import SweepResult, SweepSpec, compare, sweep
 from archuncert.errors import (ArchUncertError, DataError,
-                               InvalidArchitectureError, ParseError)
+                               InvalidArchitectureError, ParseError,
+                               UsageError)
 from archuncert.formats import (parse_architecture,
                                 parse_architecture_document,
                                 parse_calibration_csv,
@@ -70,6 +71,12 @@ class TestParseArchitecture:
                 'cpts:\n  "M":\n    parents: []\n    rows:\n      "": abc\n')
         with pytest.raises(ParseError, match="number"):
             parse_architecture(text)
+
+    def test_non_scalar_key_rejected_with_location(self):
+        with pytest.raises(ParseError) as exc:
+            parse_architecture('name: "x"\ncomponents: []\n[a]: 1\n')
+        assert str(exc.value) == (
+            "line 3, column 1: non-scalar key in architecture document")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -133,6 +140,16 @@ def _outcome(text):
 class TestLoaders:
     """Documents are composed with libyaml when PyYAML has it and with the
     pure-Python loader otherwise; both must give the same outcome."""
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_scalars_are_composed_without_implicit_tags(self, monkeypatch,
+                                                        loader):
+        monkeypatch.setattr(formats, "_YAML_LOADER", getattr(yaml, loader))
+        root = yaml.compose('a: 1.5\nb: [true, null, "x"]\n',
+                            Loader=formats._untagged_loader)
+        scalars = [root.value[0][0], root.value[0][1], root.value[1][0],
+                   *root.value[1][1].value]
+        assert {node.tag for node in scalars} == {"tag:yaml.org,2002:str"}
 
     def test_loaders_agree_on_fuzz_corpus(self, monkeypatch):
         texts = [text for text in fuzz_corpus() if "\t" not in text]
@@ -280,6 +297,29 @@ class TestCalibrationCsv:
         with pytest.raises(DataError, match="row 2.*correct"):
             parse_calibration_csv("sample_id,uncertainty,correct\ns1,0.5,maybe\n")
 
+    @pytest.mark.parametrize("header", ["EU,EU", "EU,", ",EU"])
+    def test_parent_columns_need_distinct_names(self, header):
+        with pytest.raises(DataError) as exc:
+            parse_calibration_csv(f"sample_id,uncertainty,correct,{header}\n"
+                                  "s1,0.1,true,H,L\n")
+        assert str(exc.value) == ("calibration CSV: parent columns need "
+                                  f"distinct non-empty names, got {header}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("\nsample_id,uncertainty,correct\n\ns1,abc,true\n",
+         "row 4, column 'uncertainty': not a number: 'abc'"),
+        ("sample_id,uncertainty,correct\ns1,0.5,true,x\n",
+         "row 2: expected 3 fields, got 4"),
+        ("sample_id,uncertainty,correct\ns1,-0.5,true\n",
+         "row 2, column 'uncertainty': must be >= 0, got '-0.5'"),
+        ("sample_id,uncertainty,correct\ns1,0.5,true\n\ns2,nan,true\n",
+         "row 4, column 'uncertainty': must be >= 0, got 'nan'"),
+    ])
+    def test_errors_name_the_file_line(self, text, message):
+        with pytest.raises(DataError) as exc:
+            parse_calibration_csv(text)
+        assert str(exc.value) == message
+
 
 class TestSweepCsv:
     def test_sweep_rows(self):
@@ -306,6 +346,17 @@ class TestSweepCsv:
         assert text.splitlines()[0] == "t,p_high_a,p_high_b,delta"
         assert any(line.startswith("# crossing t~0.5")
                    for line in text.splitlines())
+
+    def test_empty_sweep_rejected(self):
+        spec = SweepSpec((("A", ""),), "B")
+        with pytest.raises(UsageError) as exc:
+            write_sweep_csv(SweepResult((), spec))
+        assert str(exc.value) == "cannot write an empty sweep"
+
+    def test_other_results_rejected(self):
+        with pytest.raises(UsageError) as exc:
+            write_sweep_csv([(0.0, 0.5)])
+        assert str(exc.value) == "cannot serialize list as sweep CSV"
 
     def test_byte_identical_output(self):
         result = sweep(two_node_network(), SweepSpec((("A", ""),), "B", step=0.25))
