@@ -8,8 +8,7 @@ how uncertainty propagates to downstream components.
 from .analysis import (ALL_ROWS, ComparisonResult, Crossing, SweepResult,
                        SweepSpec, compare, evaluate, find_crossings, sweep)
 from .arch import (AnnotatedArchitecture, Component, UncertaintyAnnotation,
-                   change_impact, expected_parents, to_network,
-                   validate_architecture)
+                   change_impact, to_network, validate_architecture)
 from .bn import (BINARY_STATES, BayesianNetwork, Cpt, Factor, Finding, HIGH,
                  LOW, ValidationReport, Variable, factor_product,
                  joint_probability, marginal_brute_force, marginal_ve,
@@ -20,7 +19,7 @@ from .calibration import (CalibrationRecord, CalibrationResult,
                           estimate_prior)
 from .errors import (ArchUncertError, DataError, ImpossibleEvidenceError,
                      InvalidArchitectureError, InvalidNetworkError, ParseError,
-                     UsageError)
+                     UsageError, WidthLimitError)
 from .formats import (CalibrationRecordSet, parse_architecture,
                       parse_architecture_document, parse_calibration_csv,
                       serialize_architecture, write_sweep_csv)

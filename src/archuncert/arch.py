@@ -58,12 +58,6 @@ def _is_input_sensor(arch, component):
     return component.kind == "sensor" and component.id not in arch.cpts
 
 
-def expected_parents(arch: AnnotatedArchitecture, comp_id: str) -> tuple[str, ...]:
-    """Parent list a component's CPT must be keyed by, per the convention
-    in the module docstring."""
-    return tuple(_parent_lists(arch).get(comp_id, ()))
-
-
 def _parent_lists(arch):
     """Expected parent lists in one pass over the annotations and one over
     the edges, keyed by every id they point at, component or not."""

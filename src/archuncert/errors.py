@@ -35,6 +35,11 @@ class ParseError(DataError):
         super().__init__(message)
 
 
+class WidthLimitError(DataError):
+    """An exact query whose elimination would build a table past the limit
+    ``bn.MAX_WIDTH`` sets."""
+
+
 class _FindingsError(DataError):
     """A failed validation of the class's ``subject``; carries the findings."""
 

@@ -2,16 +2,8 @@
 
 The architecture document is a YAML subset with a fixed schema. Parsing
 goes through the YAML node tree (not plain safe_load) so every schema
-violation can point at a line and column. The tree is composed by libyaml
-(``yaml.CSafeLoader``) when PyYAML is built with it, else by PyYAML's
-pure-Python ``SafeLoader``. Both accept the same documents and report
-errors at the same line and column, with three known exceptions: libyaml
-takes a tab as the space between tokens, which the pure-Python loader
-rejects; a byte order mark that opens a line after the first is an error
-under both, one column apart; and nesting is refused past MAX_DEPTH levels
-under libyaml, whose composer would crash the process, but past a few
-hundred under the pure-Python loader, whose composer hits the recursion
-limit.
+violation can point at a line and column. The tree is composed by libyaml,
+so PyYAML must be built with it.
 
 Serialization is hand-rolled: fixed key order, declaration-order lists,
 shortest-round-trip floats, all strings double-quoted as JSON —
@@ -34,10 +26,9 @@ from .arch import (AnnotatedArchitecture, Component, UncertaintyAnnotation,
                    validate_architecture)
 from .bn import BINARY_STATES, Cpt, row_keys
 from .calibration import CalibrationRecord
-from .errors import DataError, InvalidArchitectureError, ParseError, UsageError
+from .errors import (ArchUncertError, DataError, InvalidArchitectureError,
+                     ParseError, UsageError)
 
-# libyaml composes the bundled examples about 18 times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")  # as YAML counts lines
 # libyaml's composer recurses in C, once per level; each level opens with
 # one of _OPENERS, so a text with at most MAX_DEPTH of them needs no check
@@ -59,11 +50,11 @@ def _loc(node):
 
 
 def _error_position(text, mark):
-    """(line, column) of a YAML error mark as the pure-Python loader reports
-    it. libyaml closes the input with an implicit line break, so an error at
-    the end of input lands on a line past the text; it belongs at the end
-    of the text. The pure-Python loader counts no byte order mark as a
-    column."""
+    """(line, column) of a YAML error mark, kept inside the text. libyaml
+    closes the input with an implicit line break, so an error at the end of
+    input lands on a line past the text; it belongs at the end of the text,
+    where a byte order mark counts as no column, as libyaml counts none for
+    the one that opens a text."""
     line, start = 0, 0
     for line, brk in enumerate(_LINE_BREAK.finditer(text), start=1):
         start = brk.end()
@@ -75,15 +66,12 @@ def _check_depth(text):
     """Refuse nesting deeper than MAX_DEPTH before libyaml composes it,
     counting over the events of its parser, which does not recurse. A YAML
     error ends the scan: the composer reports it, or an earlier one, before
-    it nests deeper. The pure-Python composer stops a few hundred levels
-    deep with a RecursionError, and its scanner is quadratic in flow depth,
-    so its texts are not scanned."""
-    if (_YAML_LOADER is yaml.SafeLoader
-            or sum(map(text.count, _OPENERS)) <= MAX_DEPTH):
+    it nests deeper."""
+    if sum(map(text.count, _OPENERS)) <= MAX_DEPTH:
         return
     depth = 0
     try:
-        for event in yaml.parse(text, Loader=_YAML_LOADER):
+        for event in yaml.parse(text, Loader=_untagged_loader):
             if isinstance(event, yaml.CollectionStartEvent):
                 depth += 1
                 if depth > MAX_DEPTH:
@@ -96,11 +84,12 @@ def _check_depth(text):
 
 
 def _untagged_loader(stream):
-    """A loader of the class _YAML_LOADER names that resolves no implicit
-    tag: the schema walk reads every scalar as text, so none is needed."""
-    loader = _YAML_LOADER(stream)
-    loader.yaml_implicit_resolvers = {}
-    return loader
+    """libyaml's base loader, which resolves no implicit tag: the schema walk
+    reads every scalar as text, so none is needed."""
+    if not hasattr(yaml, "CBaseLoader"):
+        raise ArchUncertError("cannot read .arch documents: PyYAML is built "
+                              "without libyaml")
+    return yaml.CBaseLoader(stream)
 
 
 def _as_mapping(node, what):
@@ -164,9 +153,6 @@ def parse_architecture_document(text: str) -> AnnotatedArchitecture:
             raise ParseError(str(getattr(exc, "problem", exc)),
                              *_error_position(text, mark)) from exc
         raise ParseError(str(exc)) from exc
-    except RecursionError:  # the pure-Python composer, a few hundred deep
-        raise ParseError("nesting too deep for the pure-Python YAML loader"
-                         ) from None
     if root is None:
         raise ParseError("empty document", 0, 0)
 
@@ -301,9 +287,19 @@ class CalibrationRecordSet:
     parent_ids: tuple[str, ...]
 
 
+def _csv_rows(reader):
+    """The non-blank rows of ``reader``; a csv.Error is a DataError at its
+    line, without Python's hint on how to open files."""
+    try:
+        yield from filter(None, reader)
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: "
+                        f"{str(exc).partition(' - ')[0]}") from None
+
+
 def parse_calibration_csv(text: str) -> CalibrationRecordSet:
     reader = csv.reader(io.StringIO(text))
-    rows = filter(None, reader)  # ignore blank lines
+    rows = _csv_rows(reader)
     header = [h.strip() for h in next(rows, ())]
     if not header:
         raise DataError("calibration CSV: missing header row")

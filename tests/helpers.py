@@ -106,15 +106,34 @@ def random_architecture(rng, n_ml_max=4):
     arch = AnnotatedArchitecture(f"random-{rng.randint(0, 10**6)}",
                                  tuple(components), tuple(edges),
                                  tuple(annotations), {})
-    from archuncert.arch import expected_parents
+    from archuncert.arch import _parent_lists
 
     cpts = {}
     for a in annotations:
         cpts[a.id] = random_cpt(rng, a.id, ())
     for c in components:
-        cpts[c.id] = random_cpt(rng, c.id, expected_parents(arch, c.id))
+        cpts[c.id] = random_cpt(rng, c.id, _parent_lists(arch).get(c.id, ()))
     return AnnotatedArchitecture(arch.name, arch.components, arch.edges,
                                  arch.annotations, cpts)
+
+
+def wide_architecture(n=200, max_parents=3, seed=3):
+    """A valid document too wide for exact inference: ``n`` classical
+    components, component i with min(max_parents, i) parents drawn without
+    replacement from the earlier ones, full CPTs with p_high in
+    [0.05, 0.95]. At 200 x 3 the min-degree order has induced width 72."""
+    rng = random.Random(seed)
+    ids = [f"c{i:03d}" for i in range(n)]
+    edges, cpts = [], {}
+    for i, comp in enumerate(ids):
+        parents = tuple(rng.sample(ids[:i], min(max_parents, i)))
+        edges += [(parent, comp) for parent in parents]
+        cpts[comp] = Cpt(comp, parents, {
+            row_key(c): rng.uniform(0.05, 0.95)
+            for c in itertools.product(BINARY_STATES, repeat=len(parents))})
+    components = tuple(Component(i, "classical") for i in ids)
+    return AnnotatedArchitecture(f"wide-{n}x{max_parents}", components,
+                                 tuple(edges), (), cpts)
 
 
 def brute_force_reachable(edges, start):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archuncert import bn
 from archuncert.bn import (BayesianNetwork, Cpt, Factor, Variable,
                            _elimination, _elimination_order, factor_product,
                            joint_probability,
                            marginal_brute_force, marginal_ve, restrict,
                            row_keys, sum_out, validate_network)
 from archuncert.errors import (ImpossibleEvidenceError, InvalidNetworkError,
-                               UsageError)
+                               UsageError, WidthLimitError)
 from helpers import (random_network, random_query,
                      reference_elimination_joint, reference_elimination_order,
                      reference_factor_product, reference_restrict,
@@ -457,6 +458,22 @@ class TestEliminationOrder:
     ])
     def test_star(self, target, evidence, order):
         assert _elimination_order(self.STAR, target, evidence) == order
+
+    @pytest.mark.width_limit
+    def test_width_limit(self, monkeypatch):
+        # eliminating c, after d, sums a table over c and p1-p3: width 3
+        monkeypatch.setattr(bn, "MAX_WIDTH", 3)
+        assert _elimination_order(self.STAR, "p1", {}) == [
+            "d", "c", "p2", "p3"]
+        monkeypatch.setattr(bn, "MAX_WIDTH", 2)
+        with pytest.raises(WidthLimitError) as exc:
+            _elimination_order(self.STAR, "p1", {})
+        assert str(exc.value) == ("induced width 3 exceeds the limit of 2: "
+                                  "eliminating 'c' needs a table of 2^4 "
+                                  "entries")
+        # evidence on c splits the star: width 2
+        assert _elimination_order(self.STAR, "p1", {"c": "H"}) == [
+            "d", "p2", "p3"]
 
     def test_matches_scope_rescan_on_random_networks(self):
         rng = random.Random(2024)

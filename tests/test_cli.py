@@ -1,3 +1,4 @@
+import functools
 import json
 import pathlib
 import shutil
@@ -6,8 +7,9 @@ import pytest
 
 from archuncert import (compute_threshold, estimate_conditional, example_path,
                         parse_architecture_document, parse_calibration_csv)
-from archuncert import arch, formats, patterns
+from archuncert import arch, cli, formats, patterns
 from archuncert.cli import main
+from helpers import fuzz_corpus
 
 
 @pytest.fixture
@@ -402,6 +404,18 @@ class TestCalibrate:
         path.write_text("sample_id,uncertainty,correct\ns1,abc,true\n")
         assert main(["calibrate", str(path)]) == 1
 
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "row"])
+    def test_oversized_field_exits_1(self, tmp_path, capsys, header):
+        field = "x" * 200_000
+        path = tmp_path / "big.csv"
+        head = "sample_id,uncertainty,correct"
+        path.write_text(f"{head},{field}\n" if header
+                        else f"{head}\n{field},0.5,true\n")
+        assert main(["calibrate", str(path)]) == 1
+        line = 1 if header else 2
+        assert capsys.readouterr() == (
+            "", f"error: row {line}: field larger than field limit (131072)\n")
+
 
 class TestUnreadableText:
     @pytest.mark.parametrize("argv", [["validate"], ["eval", "--target", "DE"],
@@ -478,3 +492,30 @@ class TestValidateOnce:
         argv = [a.format(a=end_to_end, b=component_based) for a in argv]
         assert main(argv) == 0
         assert calls == expected
+
+
+class TestFuzzedDocuments:
+    COMMANDS = [
+        ["eval", "{path}", "--target", "m0"],
+        ["sweep", "{path}", "--target", "m0", "--vary", "EU",
+         "--step", "0.25"],
+        ["impact", "{path}", "--change", "m0"],
+        ["apply-pattern", "n-version", "{path}", "--component", "m0",
+         "--monitor", "lidar", "--monitor-p-high", "0.1", "--weight", "0.9"],
+    ]
+
+    def test_every_tenth_input_exits_0_1_or_2(self, tmp_path, monkeypatch,
+                                              capsys):
+        # one parser serves every call: building it is most of a call's time
+        monkeypatch.setattr(cli, "build_parser",
+                            functools.cache(cli.build_parser))
+        path = tmp_path / "fuzzed.arch"
+        codes = set()
+        for text in fuzz_corpus()[::10]:
+            path.write_text(text, encoding="utf-8")
+            for argv in self.COMMANDS:
+                code = main([a.format(path=path) for a in argv])
+                assert code in (0, 1, 2), (argv[0], text)
+                codes.add(code)
+            capsys.readouterr()
+        assert codes == {0, 1, 2}

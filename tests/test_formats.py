@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from archuncert import example_path, formats
 from archuncert.analysis import SweepResult, SweepSpec, compare, sweep
+from archuncert.cli import main
 from archuncert.errors import (ArchUncertError, DataError,
                                InvalidArchitectureError, ParseError,
                                UsageError)
@@ -116,56 +117,18 @@ class TestRoundTrip:
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# ``archuncert validate PATH`` with the loader named by the first argument
-VALIDATE_WITH_LOADER = """
-import sys, yaml
-from archuncert import formats
-from archuncert.cli import main
-formats._YAML_LOADER = getattr(yaml, sys.argv[1])
-raise SystemExit(main(["validate", sys.argv[2]]))
-"""
 
-
-def _outcome(text):
-    try:
-        return parse_architecture(text)
-    except ParseError as exc:
-        return type(exc), exc.line, exc.column
-    except ArchUncertError as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.skipif(not yaml.__with_libyaml__,
-                    reason="PyYAML is built without libyaml")
 class TestLoaders:
-    """Documents are composed with libyaml when PyYAML has it and with the
-    pure-Python loader otherwise; both must give the same outcome."""
+    """Documents are composed by libyaml, which archuncert requires."""
 
-    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
-    def test_scalars_are_composed_without_implicit_tags(self, monkeypatch,
-                                                        loader):
-        monkeypatch.setattr(formats, "_YAML_LOADER", getattr(yaml, loader))
+    def test_scalars_are_composed_without_implicit_tags(self):
         root = yaml.compose('a: 1.5\nb: [true, null, "x"]\n',
                             Loader=formats._untagged_loader)
         scalars = [root.value[0][0], root.value[0][1], root.value[1][0],
                    *root.value[1][1].value]
         assert {node.tag for node in scalars} == {"tag:yaml.org,2002:str"}
 
-    def test_loaders_agree_on_fuzz_corpus(self, monkeypatch):
-        texts = [text for text in fuzz_corpus() if "\t" not in text]
-        outcomes = {}
-        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            monkeypatch.setattr(formats, "_YAML_LOADER", loader)
-            outcomes[loader] = [_outcome(text) for text in texts]
-        differing = [(text, fast, pure) for text, fast, pure in
-                     zip(texts, outcomes[yaml.CSafeLoader],
-                         outcomes[yaml.SafeLoader]) if fast != pure]
-        assert not differing, (
-            f"{len(differing)} of {len(texts)} inputs differ; first: "
-            f"{differing[0]}")
-
-    def test_error_marks_stay_inside_the_text(self, monkeypatch):
-        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.CSafeLoader)
+    def test_error_marks_stay_inside_the_text(self):
         for text in fuzz_corpus():
             try:
                 parse_architecture(text)
@@ -185,39 +148,30 @@ class TestLoaders:
         ('name: "x"\rcomponents: [\r', (2, 0)),
         ('\ufeffcomponents: {"a": 1', (0, 19)),
     ])
-    def test_end_of_input_position(self, monkeypatch, text, position):
-        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            monkeypatch.setattr(formats, "_YAML_LOADER", loader)
-            with pytest.raises(ParseError) as exc:
-                parse_architecture(text)
-            assert (exc.value.line, exc.value.column) == position, loader
+    def test_end_of_input_position(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_architecture(text)
+        assert (exc.value.line, exc.value.column) == position
 
-    @pytest.mark.parametrize("loader, message", [
-        ("CSafeLoader", "line 1, column {column}: "
-                        "nesting deeper than 10000 levels"),
-        ("SafeLoader", "nesting too deep for the pure-Python YAML loader"),
-    ], ids=["libyaml", "pure-Python"])
     @pytest.mark.parametrize("text, column", [
         ("name: " + "[" * 100_000 + "]" * 100_000 + "\n", 10_006),
         ("- " * 100_000 + "x\n", 20_001),
     ], ids=["flow", "block"])
-    def test_deep_nesting_exits_1(self, tmp_path, loader, message, text,
-                                  column):
+    def test_deep_nesting_exits_1(self, tmp_path, text, column):
         # a crash in libyaml's composer would take pytest down with it
         path = tmp_path / "deep.arch"
         path.write_text(text, encoding="utf-8")
         done = subprocess.run(
-            [sys.executable, "-c", VALIDATE_WITH_LOADER, loader, str(path)],
+            [sys.executable, "-m", "archuncert.cli", "validate", str(path)],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert (done.returncode, done.stdout, done.stderr) == (
-            1, f"parse error: {message.format(column=column)}\n", "")
+            1, f"parse error: line 1, column {column}: "
+               "nesting deeper than 10000 levels\n", "")
 
-    def test_depth_limit(self, monkeypatch):
+    def test_depth_limit(self):
         # MAX_DEPTH levels (the root mapping is one) compose; one more
         # fails at its opening bracket
-        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.CSafeLoader)
-
         def nested(brackets):
             return "name: " + "[" * brackets + "]" * brackets + "\n"
         with pytest.raises(ParseError, match="missing key 'components'"):
@@ -226,37 +180,35 @@ class TestLoaders:
             parse_architecture(nested(formats.MAX_DEPTH))
         assert (exc.value.line, exc.value.column) == (0, len("name: ") + 9_999)
 
-    def test_known_differences(self, monkeypatch):
-        # libyaml, the default here, takes a tab as the space between tokens
+    def test_tab_between_tokens_is_accepted(self):
         text = ('name:\t"tabs"\n'
                 'components:\n- {"id": "a", "kind": "classical"}\n'
                 'cpts:\n  "a":\n    parents: []\n    rows: {"": 0.5}\n')
         assert parse_architecture(text).name == "tabs"
-        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.SafeLoader)
-        with pytest.raises(ParseError, match="cannot start any token") as exc:
-            parse_architecture(text)
-        assert (exc.value.line, exc.value.column) == (0, 5)
 
-        # a byte order mark opening a later line fails at different columns
-        text = 'name: "x"\n\ufeffcomponents: []\n'
-        positions = []
-        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            monkeypatch.setattr(formats, "_YAML_LOADER", loader)
-            with pytest.raises(ParseError) as exc:
-                parse_architecture(text)
-            positions.append((exc.value.line, exc.value.column))
-        assert positions == [(1, 1), (1, 0)]
+    def test_byte_order_mark_opening_a_later_line_fails(self):
+        with pytest.raises(ParseError) as exc:
+            parse_architecture('name: "x"\n\ufeffcomponents: []\n')
+        assert (exc.value.line, exc.value.column) == (1, 1)
 
-        # nesting below MAX_DEPTH but past the pure-Python composer's
-        # recursion limit composes only under libyaml
+    def test_thousand_levels_compose(self):
         text = "name: " + "[" * 1000 + "]" * 1000 + "\n"
-        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.CSafeLoader)
         with pytest.raises(ParseError, match="missing key 'components'"):
             parse_architecture(text)
-        monkeypatch.setattr(formats, "_YAML_LOADER", yaml.SafeLoader)
-        with pytest.raises(ParseError, match="nesting too deep for the "
-                                             "pure-Python YAML loader"):
-            parse_architecture(text)
+
+    def test_missing_libyaml_fails_at_parse(self, monkeypatch, capsys):
+        # PyYAML built without libyaml defines none of its C classes
+        for name in yaml.cyaml.__all__:
+            monkeypatch.delattr(yaml, name)
+        message = ("cannot read .arch documents: PyYAML is built without "
+                   "libyaml")
+        arch_file = str(example_path("end-to-end.arch"))
+        assert main(["validate", arch_file]) == 1
+        assert capsys.readouterr() == (f"parse error: {message}\n", "")
+        assert main(["eval", arch_file, "--target", "Planning"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # calibrate reads no YAML
+        assert main(["calibrate", str(example_path("depth-samples.csv"))]) == 0
 
 
 class TestCalibrationCsv:
@@ -316,6 +268,19 @@ class TestCalibrationCsv:
          "row 4, column 'uncertainty': must be >= 0, got 'nan'"),
     ])
     def test_errors_name_the_file_line(self, text, message):
+        with pytest.raises(DataError) as exc:
+            parse_calibration_csv(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("sample_id,uncertainty,correct\ns1,0.5,tr\rue\n",
+         "row 2: new-line character seen in unquoted field"),
+        ("sample_id,uncertainty,correct\n\ns1,0.5," + "x" * 200_000 + "\n",
+         "row 3: field larger than field limit (131072)"),
+        ("sample_id,uncertainty," + "x" * 200_000 + "\n",
+         "row 1: field larger than field limit (131072)"),
+    ], ids=["newline", "row-field", "header-field"])
+    def test_csv_reader_errors_name_the_file_line(self, text, message):
         with pytest.raises(DataError) as exc:
             parse_calibration_csv(text)
         assert str(exc.value) == message

@@ -2,8 +2,12 @@
 compiles, validates, plans or walks them."""
 
 import ast
+import os
 import pathlib
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +15,7 @@ from archuncert.arch import AnnotatedArchitecture, Component
 from archuncert.bn import Cpt
 from archuncert.cli import main
 from archuncert.formats import serialize_architecture
+from helpers import wide_architecture
 
 N = 2000
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "archuncert"
@@ -112,6 +117,27 @@ def test_apply_pattern_exit_0(large, tmp_path):
                  "--monitor", "lidar", "--monitor-p-high", "0.1",
                  "--weight", "0.9", "-o", str(out)]) == 0
     assert '"voter_c0001"' in out.read_text(encoding="utf-8")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_wide_network_is_refused(tmp_path):
+    """The 200-component, up-to-3-parent document has induced width 72: the
+    query is refused before any table is built. A child process with 1 GiB
+    of address space ends in a MemoryError if it is not."""
+    path = tmp_path / "wide.arch"
+    path.write_text(serialize_architecture(wide_architecture()),
+                    encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "archuncert.cli", "eval", str(path),
+         "--target", "c000", "--evidence", "c199=H"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: induced width 72 exceeds the limit of 19: eliminating "
+               "'c001' needs a table of 2^73 entries\n")
 
 
 def test_no_function_in_src_calls_itself():
