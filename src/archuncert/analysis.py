@@ -5,7 +5,8 @@ a copy of the network's CPT map and reads off the high-state marginal of a
 query variable. Grid values are computed as from + i*step with integer i
 (never accumulated addition) and clamped to the range's end, so a [0,1]
 sweep at step 0.01 hits exactly 101 points ending at 1.0. The query is
-planned once per network (``bn.plan_ve``) and run at every grid point.
+planned once per network (``bn.plan_ve``), with the swept variables as the
+plan's varied ones, and run at every grid point.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def sweep(net: BayesianNetwork, spec: SweepSpec,
 
 def _sweep_rows(net, rows, spec, network_name):
     # the grid lies in [0, 1], so each point's CPTs stay valid
-    marginal = plan_ve(net, spec.query, spec.evidence)
+    marginal = plan_ve(net, spec.query, spec.evidence, frozenset(rows))
     points = []
     for t in spec.grid:
         try:

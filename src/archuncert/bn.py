@@ -9,16 +9,22 @@ Two inference routes are provided on purpose: ``marginal_brute_force``
 sums the ``joint_probability`` product over all assignments and serves as
 the oracle, ``marginal_ve`` is the production path (variable elimination).
 They must agree to 1e-12 and share one query contract. ``plan_ve`` checks
-a query and fixes its min-degree elimination order once, from the graph
-and the evidence variables; the plan then runs on any CPTs with the same
-variables, parents and rows, e.g. at every point of a sweep. A run is
-bucket elimination along that order, and rescales a product by an exact
-power of two whenever its largest entry drops below 2^-500, so that long
+a query and compiles it once: the min-degree elimination order, each
+factor's bucket, each message's scope and destination, and each product's
+and sum's index list depend only on the graph and the evidence variables.
+The plan names the ``varied`` variables whose CPTs its runs receive, e.g.
+the swept ones of a sweep. A factor built from another CPT is constant, and
+so is every product and sum whose inputs are all constant: the plan
+computes these once. A run builds the varied factors and replays the remaining products
+and sums of bucket elimination in their original order, so that its result
+is bit-identical to a plan with nothing varied. A product whose largest
+entry drops below 2^-500 is rescaled by an exact power of two, so that long
 evidence chains cannot underflow.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -344,29 +350,48 @@ def factor_from_cpt(cpt: Cpt) -> Factor:
     return Factor(tuple(cpt.parents) + (cpt.variable,), tuple(table))
 
 
-def factor_product(f1: Factor, f2: Factor) -> Factor:
-    """Pointwise product over the ordered union of the two scopes."""
-    extra = tuple(v for v in f2.scope if v not in f1.scope)
-    scope = f1.scope + extra
-    # f1's scope leads, so mask m reads f1 at m >> len(extra); f2 at index[m]
+def _product_index(scope1, scope2):
+    """The scope of a product of tables over ``scope1`` and ``scope2``, in
+    that order, and the (shift, index) that ``_multiply`` reads them by."""
+    extra = tuple(v for v in scope2 if v not in scope1)
+    scope = scope1 + extra
+    # scope1 leads, so mask m reads the first table at m >> len(extra)
     index = [0]
     for var in scope:
-        bit = _bit(f2.scope, var) if var in f2.scope else 0
+        bit = _bit(scope2, var) if var in scope2 else 0
         index = [i + b for i in index for b in (0, bit)]
-    t1, t2, shift = f1.table, f2.table, len(extra)
-    return Factor(scope, tuple(t1[m >> shift] * t2[j]
-                               for m, j in enumerate(index)))
+    return scope, len(extra), index
+
+
+def _multiply(t1, t2, shift, index):
+    return tuple(t1[m >> shift] * t2[j] for m, j in enumerate(index))
+
+
+def factor_product(f1: Factor, f2: Factor) -> Factor:
+    """Pointwise product over the ordered union of the two scopes."""
+    scope, shift, index = _product_index(f1.scope, f2.scope)
+    return Factor(scope, _multiply(f1.table, f2.table, shift, index))
+
+
+def _sum_index(scope, var):
+    """The scope left when ``var`` is summed out of a table over ``scope``,
+    and the (bit, kept masks) that ``_add`` sums it by."""
+    bit = _bit(scope, var)
+    # the masks with var's bit clear, ascending, are the reduced masks in order
+    return (tuple(v for v in scope if v != var), bit,
+            [i for i in range(1 << len(scope)) if not i & bit])
+
+
+def _add(table, bit, kept):
+    return tuple(table[i] + table[i | bit] for i in kept)
 
 
 def sum_out(f: Factor, var: str) -> Factor:
     """Marginalize one variable out of a factor (L term plus H term)."""
     if var not in f.scope:
         raise UsageError(f"sum_out: {var!r} not in factor scope {list(f.scope)}")
-    bit = _bit(f.scope, var)
-    scope = tuple(v for v in f.scope if v != var)
-    # the masks with var's bit clear, ascending, are the reduced masks in order
-    return Factor(scope, tuple(f.table[i] + f.table[i | bit]
-                               for i in range(len(f.table)) if not i & bit))
+    scope, bit, kept = _sum_index(f.scope, var)
+    return Factor(scope, _add(f.table, bit, kept))
 
 
 def restrict(f: Factor, var: str, state: str) -> Factor:
@@ -380,19 +405,25 @@ def restrict(f: Factor, var: str, state: str) -> Factor:
                                for i in range(len(f.table)) if not i & bit))
 
 
+def _rescaled(table, exponent):
+    """A product's table and the exponent e of 2^e that scales it: a table
+    whose largest entry is positive but below 2^-500 is scaled up by 2^-e,
+    exactly, and e added to ``exponent``, so that long products of small
+    numbers cannot underflow."""
+    top = max(table)
+    if 0.0 < top < 2.0 ** -500:
+        e = math.frexp(top)[1]
+        return tuple(math.ldexp(x, -e) for x in table), exponent + e
+    return table, exponent
+
+
 def _product(factors, exponent):
-    """Multiply ``factors`` left to right. A product whose largest entry is
-    positive but below 2^-500 is scaled up by 2^-e, exactly, and e added to
-    ``exponent``, so that long products of small numbers cannot underflow."""
+    """Multiply ``factors`` left to right, each product ``_rescaled``."""
     result = factors[0]
     for f in factors[1:]:
         result = factor_product(result, f)
-        top = max(result.table)
-        if 0.0 < top < 2.0 ** -500:
-            e = math.frexp(top)[1]
-            exponent += e
-            result = Factor(result.scope,
-                            tuple(math.ldexp(x, -e) for x in result.table))
+        table, exponent = _rescaled(result.table, exponent)
+        result = Factor(result.scope, table)
     return result, exponent
 
 
@@ -401,36 +432,50 @@ def _elimination_order(net, target, evidence):
     2009, §9.4.3), lowest id on ties, on the interaction graph of the CPT
     families with the evidence restricted away; no table is built. A
     variable's neighbours when it is eliminated are the scope of its
-    bucket's sum, so the largest of them is the induced width, which must
-    not pass MAX_WIDTH."""
+    bucket's sum, so the order stops at the first variable whose neighbours
+    pass MAX_WIDTH."""
     # each set holds its own variable: its size is the resulting scope's + 1
     graph = {v.id: {v.id} for v in net.variables if v.id not in evidence}
     for v in net.variables:
         family = {u for u in v.parents + (v.id,) if u not in evidence}
         for u in family:
             graph[u] |= family
-    remaining = set(graph) - {target}
+    # (size, variable) entries, pushed again whenever a size changes: an
+    # entry whose size is no longer its variable's is stale
+    heap = [(len(family), u) for u, family in graph.items() if u != target]
+    heapq.heapify(heap)
     order = []
-    width, widest = 0, None
-    while remaining:
-        var = min(remaining, key=lambda u: (len(graph[u]), u))
+    while heap:
+        size, var = heapq.heappop(heap)
+        if len(graph.get(var, ())) != size:
+            continue
         order.append(var)
-        remaining.discard(var)
         neighbours = graph.pop(var)
         neighbours.discard(var)
-        if len(neighbours) > width:
-            width, widest = len(neighbours), var
+        width = len(neighbours)
+        if width > MAX_WIDTH:
+            raise WidthLimitError(
+                f"induced width at least {width} exceeds the limit of "
+                f"{MAX_WIDTH}: eliminating {var!r} needs a table of at least "
+                f"2^{width + 1} entries")
         for u in neighbours:
             graph[u] |= neighbours
             graph[u].discard(var)
-    if width > MAX_WIDTH:
-        raise WidthLimitError(
-            f"induced width {width} exceeds the limit of {MAX_WIDTH}: "
-            f"eliminating {widest!r} needs a table of 2^{width + 1} entries")
+            if u != target:
+                heapq.heappush(heap, (len(graph[u]), u))
     return order
 
 
-def _elimination(net, target, evidence):
+@dataclass(frozen=True)
+class _Slot:
+    """A factor that a run computes: its scope, and the index of the slot
+    that holds its table."""
+
+    scope: tuple[str, ...]
+    index: int
+
+
+def _elimination(net, target, evidence, varied=frozenset()):
     order = _elimination_order(net, target, evidence)
     # bucket elimination (Dechter, Artif. Intell. 1999): each factor waits in
     # the bucket of its first variable; scalars join the target's, the last
@@ -438,39 +483,98 @@ def _elimination(net, target, evidence):
 
     def first(scope):
         return min(map(bucket_of.get, scope), default=-1)
-    # each CPT factor's observed variables and bucket depend on the graph only
-    cpt_plan = [(v.id, [u for u in evidence if u in family],
-                 first(u for u in family if u not in evidence))
-                for v in net.variables for family in [v.parents + (v.id,)]]
+    # a run's tables: the constants, and None in each slot that a run fills
+    tables = []
+
+    def slot(f):
+        if isinstance(f, _Slot):
+            return f.index
+        tables.append(f.table)
+        return len(tables) - 1
+
+    def live(scope):
+        tables.append(None)
+        return _Slot(scope, len(tables) - 1)
+    buckets = [[] for _ in bucket_of]
+    loads = []  # (variable, its observed family, slot) per varied CPT
+    for v in net.variables:
+        family = v.parents + (v.id,)
+        observed = [(u, evidence[u]) for u in evidence if u in family]
+        if v.id in varied:
+            f = live(tuple(u for u in family if u not in evidence))
+            loads.append((v.id, observed, f.index))
+        else:
+            f = factor_from_cpt(net.cpts[v.id])
+            for u, state in observed:
+                f = restrict(f, u, state)
+        buckets[first(f.scope)].append(f)
+    # fold each bucket's constant prefix; the rest is a step of the run:
+    # (first slot, (slot, shift, index) per product, (bit, kept) or None,
+    # slot of the result)
+    exponent, steps = 0, []
+    for var, bucket in zip(order + [None], buckets):
+        prefix = next((k for k, f in enumerate(bucket)
+                       if isinstance(f, _Slot)), len(bucket))
+        constant = prefix == len(bucket)
+        if prefix:
+            f, exponent = _product(bucket[:prefix], exponent)
+            bucket = [f] + bucket[prefix:]
+        if constant:
+            result = f if var is None else sum_out(f, var)
+        else:
+            scope, products = bucket[0].scope, []
+            for g in bucket[1:]:
+                scope, shift, index = _product_index(scope, g.scope)
+                products.append((slot(g), shift, index))
+            summed = None
+            if var is not None:
+                scope, bit, kept = _sum_index(scope, var)
+                summed = bit, kept
+            result = live(scope)
+            steps.append((slot(bucket[0]), products, summed, result.index))
+        if var is not None:
+            buckets[first(result.scope)].append(result)
+    answer = slot(result)
 
     def joint(cpts):
-        buckets = [[] for _ in bucket_of]
-        for var_id, observed, i in cpt_plan:
+        values = list(tables)
+        for var_id, observed, k in loads:
             f = factor_from_cpt(cpts[var_id])
-            for var in observed:
-                f = restrict(f, var, evidence[var])
-            buckets[i].append(f)
-        exponent = 0
-        for var, bucket in zip(order, buckets):
-            product, exponent = _product(bucket, exponent)
-            f = sum_out(product, var)
-            buckets[first(f.scope)].append(f)
-        result, exponent = _product(buckets[-1], exponent)
+            for u, state in observed:
+                f = restrict(f, u, state)
+            values[k] = f.table
+        scale = exponent
+        for head, products, summed, out in steps:
+            table = values[head]
+            for k, shift, index in products:
+                table, scale = _rescaled(
+                    _multiply(table, values[k], shift, index), scale)
+            values[out] = table if summed is None else _add(table, *summed)
+        table = values[answer]
         if target in evidence:  # restricted away: the table is (P(e),)
-            return tuple(result.table[0] if s == evidence[target] else 0.0
-                         for s in BINARY_STATES), exponent
-        return result.table, exponent
+            return tuple(table[0] if s == evidence[target] else 0.0
+                         for s in BINARY_STATES), scale
+        return table, scale
     return joint
 
 
 def plan_ve(net: BayesianNetwork, target: str,
-            evidence: dict[str, str] | None = None):
+            evidence: dict[str, str] | None = None, varied=()):
     """Plan P(target | evidence) by variable elimination once, as a
-    function of the CPTs. Deterministic: the order is min-degree with a
-    lexicographic tie-break, each run builds and restricts the CPT factors
-    in variable order, and each bucket is multiplied in the order its
-    factors arrived, so repeated runs are bit-identical."""
-    return _plan_query(net, target, evidence, _elimination)
+    function of the CPTs of the ``varied`` variables: a run reads
+    ``cpts[v]`` only for ``v`` in ``varied``, and every other CPT is the
+    network's. The plan builds and restricts the other CPTs' factors,
+    multiplies each bucket's factors up to the first one that a run
+    computes, and sums out every bucket that has none; a run builds the
+    varied factors and replays the remaining products and sums over index
+    lists fixed at plan time. Deterministic:
+    the order is min-degree with a lexicographic tie-break, the CPT factors
+    are built in variable order, and each bucket is multiplied in the order
+    its factors arrived, so every run does the same float operations in
+    the same order as a plan with nothing varied, and is bit-identical to
+    it."""
+    return _plan_query(net, target, evidence,
+                       lambda *query: _elimination(*query, frozenset(varied)))
 
 
 def marginal_ve(net: BayesianNetwork, target: str,

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -468,9 +469,9 @@ class TestEliminationOrder:
         monkeypatch.setattr(bn, "MAX_WIDTH", 2)
         with pytest.raises(WidthLimitError) as exc:
             _elimination_order(self.STAR, "p1", {})
-        assert str(exc.value) == ("induced width 3 exceeds the limit of 2: "
-                                  "eliminating 'c' needs a table of 2^4 "
-                                  "entries")
+        assert str(exc.value) == ("induced width at least 3 exceeds the "
+                                  "limit of 2: eliminating 'c' needs a table "
+                                  "of at least 2^4 entries")
         # evidence on c splits the star: width 2
         assert _elimination_order(self.STAR, "p1", {"c": "H"}) == [
             "d", "p2", "p3"]
@@ -518,3 +519,73 @@ class TestBucketRun:
                     == (reference_elimination_joint(net, target, evidence,
                                                     order, cpts), 0))
         assert on_target >= 100
+
+
+def _with_random_rows(rng, cpts, varied):
+    """``cpts`` with new rows for the ``varied`` variables, some 0 or 1."""
+    cpts = dict(cpts)
+    for var in varied:
+        old = cpts[var]
+        cpts[var] = Cpt(var, old.parents, {
+            key: rng.choice((0.0, 1.0)) if rng.random() < 0.2 else rng.random()
+            for key in old.rows})
+    return cpts
+
+
+class TestCompiledPlan:
+    """One plan with some CPTs varied, run on many CPT maps, must do the
+    float operations of a plan with nothing varied made for each map. A run
+    is given only the varied CPTs, as it reads no others."""
+
+    @staticmethod
+    def _runs(net, target, evidence, varied, maps):
+        joint = _elimination(net, target, evidence, frozenset(varied))
+        for cpts in maps:
+            fresh = _elimination(BayesianNetwork(net.variables, cpts),
+                                 target, evidence)(cpts)
+            assert joint({var: cpts[var] for var in varied}) == fresh
+            yield fresh
+
+    def test_equals_a_fresh_plan_per_map_on_random_networks(self):
+        rng = random.Random(1212)
+        seen = Counter()
+        for _ in range(600):
+            net = random_network(rng, n_min=1, n_max=10,
+                                 max_parents=rng.randint(1, 4))
+            variables = list(net.variables)
+            rng.shuffle(variables)
+            ids = [v.id for v in variables]
+            net = BayesianNetwork(tuple(variables),
+                                  _with_random_rows(rng, net.cpts, ids))
+            target = rng.choice(ids)
+            evidence = {v: rng.choice("LH") for v in
+                        rng.sample(ids, rng.randint(0, min(4, len(ids))))}
+            varied = rng.sample(ids, rng.randint(1, min(3, len(ids))))
+            maps = [_with_random_rows(rng, net.cpts, varied)
+                    for _ in range(3)]
+            for _ in self._runs(net, target, evidence, varied, maps):
+                pass
+            families = {v.id: v.parents + (v.id,) for v in variables}
+            seen["evidence on the target"] += target in evidence
+            seen["varied target"] += target in varied
+            seen["varied and observed"] += bool(set(varied) & set(evidence))
+            # its factor is a scalar, so it is live in the last bucket
+            seen["varied, family all evidence"] += any(
+                set(families[v]) <= set(evidence) for v in varied)
+        assert min(seen.values()) >= 150, seen
+
+    @pytest.mark.parametrize("varied", [["v0"], ["v900"], ["v600", "v1199"]])
+    def test_long_evidence_chain_rescales_in_live_steps(self, varied):
+        # every factor lands in v600's bucket, the only one: v0's is first,
+        # so with v0 varied every product and every rescaling is live, and
+        # with v900 varied the products before it are folded
+        net = _chain(random.Random(1200), 1200)
+        evidence = {v.id: "H" for v in net.variables if v.id != "v600"}
+        rng = random.Random(5)
+        maps = [{**net.cpts, **{var: Cpt(var, net.cpts[var].parents, {
+            key: rng.uniform(0.3, 0.7) for key in net.cpts[var].rows})
+            for var in varied}} for _ in range(3)]
+        for (low, high), exponent in self._runs(net, "v600", evidence,
+                                                varied, maps):
+            # P(e) is about 2^-1200: rescaled at least twice, by 2^500 or more
+            assert exponent <= -1000 and 0.0 < max(low, high)

@@ -123,21 +123,37 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
+def _eval_wide(tmp_path, n, timeout):
+    """Run ``eval`` on ``helpers.wide_architecture(n, 3)``, target c000 and
+    the last component H, in a child process with 1 GiB of address space."""
+    path = tmp_path / "wide.arch"
+    path.write_text(serialize_architecture(wide_architecture(n, 3)),
+                    encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "archuncert.cli", "eval", str(path),
+         "--target", "c000", "--evidence", f"c{n - 1:03d}=H"],
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_limit_memory,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_wide_network_is_refused(tmp_path):
     """The 200-component, up-to-3-parent document has induced width 72: the
     query is refused before any table is built. A child process with 1 GiB
     of address space ends in a MemoryError if it is not."""
-    path = tmp_path / "wide.arch"
-    path.write_text(serialize_architecture(wide_architecture()),
-                    encoding="utf-8")
-    done = subprocess.run(
-        [sys.executable, "-m", "archuncert.cli", "eval", str(path),
-         "--target", "c000", "--evidence", "c199=H"],
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
-        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert (done.returncode, done.stdout, done.stderr) == (
-        1, "", "error: induced width 72 exceeds the limit of 19: eliminating "
-               "'c001' needs a table of 2^73 entries\n")
+    assert _eval_wide(tmp_path, 200, timeout=60) == (
+        1, "", "error: induced width at least 20 exceeds the limit of 19: "
+               "eliminating 'c084' needs a table of at least 2^21 entries\n")
+
+
+def test_wide_network_is_refused_at_the_first_wide_step(tmp_path):
+    """At 2,000 x 3 the full order has width 664 and takes seconds to find;
+    the refusal comes at the first elimination past the limit, so the
+    process is bound by reading the 970 kB document."""
+    assert _eval_wide(tmp_path, 2000, timeout=6) == (
+        1, "", "error: induced width at least 20 exceeds the limit of 19: "
+               "eliminating 'c1136' needs a table of at least 2^21 entries\n")
 
 
 def test_no_function_in_src_calls_itself():
