@@ -15,11 +15,11 @@ and sum's index list depend only on the graph and the evidence variables.
 The plan names the ``varied`` variables whose CPTs its runs receive, e.g.
 the swept ones of a sweep. A factor built from another CPT is constant, and
 so is every product and sum whose inputs are all constant: the plan
-computes these once. A run builds the varied factors and replays the remaining products
-and sums of bucket elimination in their original order, so that its result
-is bit-identical to a plan with nothing varied. A product whose largest
-entry drops below 2^-500 is rescaled by an exact power of two, so that long
-evidence chains cannot underflow.
+computes these once. A run builds the varied factors and replays the
+remaining products and sums of bucket elimination in their original order,
+so that its result is bit-identical to a plan with nothing varied. A
+product whose largest entry drops below 2^-500 is rescaled by an exact
+power of two, so that long evidence chains cannot underflow.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import heapq
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 from .errors import (MAX_LISTED, ImpossibleEvidenceError, InvalidNetworkError,
@@ -466,13 +466,8 @@ def _elimination_order(net, target, evidence):
     return order
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """A factor that a run computes: its scope, and the index of the slot
-    that holds its table."""
-
-    scope: tuple[str, ...]
-    index: int
+# a factor that a run computes: its scope, and the slot that holds its table
+_Slot = namedtuple("_Slot", "scope index")
 
 
 def _elimination(net, target, evidence, varied=frozenset()):
@@ -567,12 +562,11 @@ def plan_ve(net: BayesianNetwork, target: str,
     multiplies each bucket's factors up to the first one that a run
     computes, and sums out every bucket that has none; a run builds the
     varied factors and replays the remaining products and sums over index
-    lists fixed at plan time. Deterministic:
-    the order is min-degree with a lexicographic tie-break, the CPT factors
-    are built in variable order, and each bucket is multiplied in the order
-    its factors arrived, so every run does the same float operations in
-    the same order as a plan with nothing varied, and is bit-identical to
-    it."""
+    lists fixed at plan time. Deterministic: the order is min-degree with a
+    lexicographic tie-break, the CPT factors are built in variable order,
+    and each bucket is multiplied in the order its factors arrived, so
+    every run does the same float operations in the same order as a plan
+    with nothing varied, and is bit-identical to it."""
     return _plan_query(net, target, evidence,
                        lambda *query: _elimination(*query, frozenset(varied)))
 
