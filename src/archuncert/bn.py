@@ -471,6 +471,9 @@ _Slot = namedtuple("_Slot", "scope index")
 
 
 def _elimination(net, target, evidence, varied=frozenset()):
+    unknown = sorted(varied - {v.id for v in net.variables})
+    if unknown:  # a run would ignore their CPTs
+        raise UsageError(f"varied names unknown variables: {unknown}")
     order = _elimination_order(net, target, evidence)
     # bucket elimination (Dechter, Artif. Intell. 1999): each factor waits in
     # the bucket of its first variable; scalars join the target's, the last
@@ -556,17 +559,17 @@ def _elimination(net, target, evidence, varied=frozenset()):
 def plan_ve(net: BayesianNetwork, target: str,
             evidence: dict[str, str] | None = None, varied=()):
     """Plan P(target | evidence) by variable elimination once, as a
-    function of the CPTs of the ``varied`` variables: a run reads
-    ``cpts[v]`` only for ``v`` in ``varied``, and every other CPT is the
-    network's. The plan builds and restricts the other CPTs' factors,
-    multiplies each bucket's factors up to the first one that a run
-    computes, and sums out every bucket that has none; a run builds the
-    varied factors and replays the remaining products and sums over index
-    lists fixed at plan time. Deterministic: the order is min-degree with a
-    lexicographic tie-break, the CPT factors are built in variable order,
-    and each bucket is multiplied in the order its factors arrived, so
-    every run does the same float operations in the same order as a plan
-    with nothing varied, and is bit-identical to it."""
+    function of the CPTs of the ``varied`` variables, which must be the
+    network's: a run reads ``cpts[v]`` only for ``v`` in ``varied``, and
+    every other CPT is the network's. The plan builds and restricts the
+    other CPTs' factors, multiplies each bucket's factors up to the first
+    one that a run computes, and sums out every bucket that has none; a run
+    builds the varied factors and replays the remaining products and sums
+    over index lists fixed at plan time. Deterministic: the order is
+    min-degree with a lexicographic tie-break, the CPT factors are built in
+    variable order, and each bucket is multiplied in the order its factors
+    arrived, so every run does the same float operations in the same order
+    as a plan with nothing varied, and is bit-identical to it."""
     return _plan_query(net, target, evidence,
                        lambda *query: _elimination(*query, frozenset(varied)))
 

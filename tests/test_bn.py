@@ -10,7 +10,8 @@ from archuncert import bn
 from archuncert.bn import (BayesianNetwork, Cpt, Factor, Variable,
                            _elimination, _elimination_order, factor_product,
                            joint_probability,
-                           marginal_brute_force, marginal_ve, restrict,
+                           marginal_brute_force, marginal_ve, plan_ve,
+                           restrict,
                            row_keys, sum_out, validate_network)
 from archuncert.errors import (ImpossibleEvidenceError, InvalidNetworkError,
                                UsageError, WidthLimitError)
@@ -539,12 +540,15 @@ class TestCompiledPlan:
 
     @staticmethod
     def _runs(net, target, evidence, varied, maps):
+        """The fresh plans' results, each checked against the one plan's."""
         joint = _elimination(net, target, evidence, frozenset(varied))
+        results = []
         for cpts in maps:
             fresh = _elimination(BayesianNetwork(net.variables, cpts),
                                  target, evidence)(cpts)
             assert joint({var: cpts[var] for var in varied}) == fresh
-            yield fresh
+            results.append(fresh)
+        return results
 
     def test_equals_a_fresh_plan_per_map_on_random_networks(self):
         rng = random.Random(1212)
@@ -563,8 +567,7 @@ class TestCompiledPlan:
             varied = rng.sample(ids, rng.randint(1, min(3, len(ids))))
             maps = [_with_random_rows(rng, net.cpts, varied)
                     for _ in range(3)]
-            for _ in self._runs(net, target, evidence, varied, maps):
-                pass
+            self._runs(net, target, evidence, varied, maps)
             families = {v.id: v.parents + (v.id,) for v in variables}
             seen["evidence on the target"] += target in evidence
             seen["varied target"] += target in varied
@@ -573,6 +576,11 @@ class TestCompiledPlan:
             seen["varied, family all evidence"] += any(
                 set(families[v]) <= set(evidence) for v in varied)
         assert min(seen.values()) >= 150, seen
+
+    def test_unknown_varied_variable(self):
+        with pytest.raises(UsageError, match=r"varied names unknown "
+                                             r"variables: \['Z'\]"):
+            plan_ve(two_node_network(), "B", varied={"Z", "A"})
 
     @pytest.mark.parametrize("varied", [["v0"], ["v900"], ["v600", "v1199"]])
     def test_long_evidence_chain_rescales_in_live_steps(self, varied):
